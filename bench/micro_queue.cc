@@ -5,8 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/access_queue.h"
-#include "core/bp_wrapper.h"
 #include "core/clock_coordinator.h"
+#include "core/combining_coordinator.h"
 #include "core/serialized_coordinator.h"
 #include "policy/clock.h"
 #include "policy/two_q.h"
@@ -50,26 +50,25 @@ void BM_HitSerialized2Q(benchmark::State& state) {
 }
 BENCHMARK(BM_HitSerialized2Q);
 
+// The plain BP-Wrapper protocol: the combining coordinator without
+// publication slots.
+std::unique_ptr<CombiningCoordinator> MakeBpWrapper2Q(bool prefetch) {
+  CombiningCoordinator::Options options;
+  options.max_slots = 0;
+  options.queue_size = 64;
+  options.batch_threshold = 32;
+  options.prefetch = prefetch;
+  return std::make_unique<CombiningCoordinator>(
+      std::make_unique<TwoQPolicy>(kFrames), options);
+}
+
 void BM_HitBpWrapper2Q(benchmark::State& state) {
-  HitThroughCoordinator(state, [] {
-    BpWrapperCoordinator::Options options;
-    options.queue_size = 64;
-    options.batch_threshold = 32;
-    return std::make_unique<BpWrapperCoordinator>(
-        std::make_unique<TwoQPolicy>(kFrames), options);
-  });
+  HitThroughCoordinator(state, [] { return MakeBpWrapper2Q(false); });
 }
 BENCHMARK(BM_HitBpWrapper2Q);
 
 void BM_HitBpWrapper2QPrefetch(benchmark::State& state) {
-  HitThroughCoordinator(state, [] {
-    BpWrapperCoordinator::Options options;
-    options.queue_size = 64;
-    options.batch_threshold = 32;
-    options.prefetch = true;
-    return std::make_unique<BpWrapperCoordinator>(
-        std::make_unique<TwoQPolicy>(kFrames), options);
-  });
+  HitThroughCoordinator(state, [] { return MakeBpWrapper2Q(true); });
 }
 BENCHMARK(BM_HitBpWrapper2QPrefetch);
 

@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
-#include "core/bp_wrapper.h"
-#include "policy/two_q.h"
+#include "core/coordinator_factory.h"
 #include "storage/storage_engine.h"
 
 int main() {
@@ -21,21 +20,24 @@ int main() {
   StorageEngine storage(/*num_pages=*/4096, /*page_size=*/8192);
 
   // 2. Any replacement policy — here the full 2Q algorithm — wrapped in
-  //    BP-Wrapper. The policy code knows nothing about concurrency; the
-  //    wrapper batches each thread's accesses in a private FIFO queue and
-  //    commits them with one lock acquisition per batch.
-  BpWrapperCoordinator::Options options;
-  options.queue_size = 64;       // the paper's S
-  options.batch_threshold = 32;  // the paper's T
-  options.prefetch = true;       // warm the cache before taking the lock
-  auto coordinator = std::make_unique<BpWrapperCoordinator>(
-      std::make_unique<TwoQPolicy>(/*num_frames=*/1024), options);
+  //    BP-Wrapper: the paper's pgBatPre system. The policy code knows
+  //    nothing about concurrency; the wrapper batches each thread's
+  //    accesses in a private FIFO queue and commits them with one lock
+  //    acquisition per batch, warming the cache before taking the lock.
+  SystemConfig system = PaperSystemConfig("pgBatPre").value();
+  system.queue_size = 64;       // the paper's S
+  system.batch_threshold = 32;  // the paper's T
+  auto coordinator = CreateCoordinator(system, /*num_frames=*/1024);
+  if (!coordinator.ok()) {
+    std::fprintf(stderr, "%s\n", coordinator.status().ToString().c_str());
+    return 1;
+  }
 
   // 3. The buffer pool: 1024 frames over the 4096-page disk.
   BufferPoolConfig config;
   config.num_frames = 1024;
   config.page_size = 8192;
-  BufferPool pool(config, &storage, std::move(coordinator));
+  BufferPool pool(config, &storage, std::move(coordinator).value());
 
   // 4. Worker threads fetch pages. Each thread registers a session.
   std::vector<std::thread> workers;

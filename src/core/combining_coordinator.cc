@@ -29,6 +29,8 @@ CombiningCoordinator::CombiningCoordinator(
                                  static_cast<double>(stale_commits()));
                         snap.Add("coord.lock_fallbacks",
                                  static_cast<double>(lock_fallbacks()));
+                        // Without slots these are identically zero.
+                        if (options_.max_slots == 0) return;
                         snap.Add("coord.published_batches",
                                  static_cast<double>(published_batches()));
                         snap.Add("coord.combined_batches",
@@ -41,7 +43,6 @@ CombiningCoordinator::CombiningCoordinator(
   if (options_.batch_threshold > options_.queue_size) {
     options_.batch_threshold = options_.queue_size;
   }
-  if (options_.max_slots == 0) options_.max_slots = 1;
   // The slot array is fixed for the coordinator's lifetime: the protocol
   // synchronizes on slot addresses, so the vector must never reallocate.
   pub_slots_ = std::vector<CacheAligned<PubSlot>>(options_.max_slots);
@@ -87,8 +88,8 @@ CombiningCoordinator::RegisterThread() {
       break;
     }
   }
-  // pub_index stays kNoPubSlot when all slots are taken: the thread then
-  // runs the plain BP-Wrapper protocol (no publish, no handoff).
+  // pub_index stays kNoPubSlot when all slots are taken (or there are
+  // none): the thread then runs the plain BP-Wrapper protocol.
   return slot;
 }
 
@@ -258,23 +259,22 @@ void CombiningCoordinator::DrainPeersLocked(Slot* slot, DrainOutcome& out) {
 }
 
 void CombiningCoordinator::CombineAndRelease(Slot* slot) {
+  // Clock reads under the lock are normally forbidden; the trace stamp in
+  // DrainOutcome's construction sits before the apply-phase guard below,
+  // and it only runs when tracing is on — the span being measured *is* the
+  // locked apply.
   DrainOutcome out;
-  out.trace = obs::TraceEnabled();
-  // Clock reads under the lock are normally forbidden; this one sits
-  // before the apply-phase guard below, and it only runs when tracing is
-  // on — the span being measured *is* the locked apply.
-  if (out.trace) out.trace_start = NowNanos();
   {
     // Apply phase: the critical section contains policy updates and
     // nothing else. "self_commit" is this thread's own batch + queue;
-    // "combine_drain" the peers' adopted batches.
+    // "combine_drain" the peers' adopted batches (none without slots).
     BPW_PROF_PHASE("combine");
     policy_->AssertExclusiveAccess();
     {
       BPW_PROF_PHASE("self_commit");
       DrainOwnLocked(slot, out);
     }
-    {
+    if (!pub_slots_.empty()) {
       BPW_PROF_PHASE("combine_drain");
       DrainPeersLocked(slot, out);
     }
@@ -350,7 +350,7 @@ void CombiningCoordinator::OnHit(ThreadSlot* base_slot, PageId page,
   // it — spin briefly for that cooperative handoff instead of blocking.
   if (pub != nullptr &&
       pub->state.load(std::memory_order_acquire) != PubSlot::kEmpty) {
-    for (size_t i = 0; i < options_.handoff_spins; ++i) {
+    for (size_t i = 0; i < kHandoffSpins; ++i) {
       BPW_SCHEDULE_YIELD("combining.handoff_spin");
       if (pub->state.load(std::memory_order_acquire) == PubSlot::kEmpty) {
         handoff_adoptions_.fetch_add(1, std::memory_order_relaxed);
@@ -387,7 +387,7 @@ StatusOr<Coordinator::Victim> CombiningCoordinator::ChooseVictim(
     BPW_PROF_PHASE("choose_victim");
     // A miss commits the pending accesses first so the policy decides with
     // the freshest history (Fig. 4, replacement_for_page_miss).
-    DrainOwnLocked(slot, out);
+    if (!options_.test_skip_commit_before_victim) DrainOwnLocked(slot, out);
     victim.emplace(policy_->ChooseVictim(evictable, incoming));
   }
   PostCommitBookkeeping(slot, out);

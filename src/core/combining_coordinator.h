@@ -1,12 +1,30 @@
-// CombiningCoordinator ("pgBat++"): BP-Wrapper batching plus flat combining
-// and early lock release.
+// CombiningCoordinator: the BP-Wrapper commit protocol (Fig. 4), optionally
+// with flat combining and early lock release ("pgBat++").
 //
-// BP-Wrapper (bp_wrapper.h) already removes most blocking: a thread commits
-// its private queue only when a non-blocking TryLock() succeeds. But every
-// thread whose TryLock fails keeps its batch to itself and retries later, so
-// under heavy load the ContentionLock is still acquired once per batch per
-// thread. Flat combining inverts this: a thread first *publishes* its full
-// AccessQueue into a per-thread publication slot, then
+// The base protocol wraps an *unmodified* replacement policy:
+//
+//  - Each thread records hits into its private AccessQueue.
+//  - Once `batch_threshold` accesses accumulate, the thread makes a
+//    non-blocking TryLock() attempt; on success it commits the whole queue
+//    under one lock-holding period. On failure it simply keeps recording —
+//    no blocking, no contention event.
+//  - Only when the queue is completely full does the thread fall back to a
+//    blocking Lock().
+//  - A miss always commits (the policy must run to pick a victim), first
+//    draining the thread's queue so the policy sees accesses in order.
+//  - With `prefetch` enabled, the thread touches the policy nodes for every
+//    queued frame and the lock word immediately before acquiring the lock
+//    (§III-B), moving cache warm-up misses outside the critical section.
+//  - Commit-time re-validation (§IV-B): each entry's (page, frame) pair is
+//    checked against the buffer pool's current frame tags; entries whose
+//    page was evicted or replaced since recording are skipped.
+//
+// With `max_slots` = 0 that is all there is: pgBat and pgBatPre (coordinator
+// kind "bp-wrapper"). With publication slots, flat combining is layered on
+// top. Plain BP-Wrapper still acquires the lock once per batch per thread
+// under heavy load, because a thread whose TryLock fails keeps its batch to
+// itself and retries later. Flat combining inverts this: a thread first
+// *publishes* its full AccessQueue into a per-thread publication slot, then
 //
 //  - wins the ContentionLock and, in ONE lock-holding period, applies its
 //    own batch plus every peer's ready slot (the combiner drains the
@@ -18,7 +36,7 @@
 // Under saturation one acquisition now retires up to `max_slots` batches
 // instead of one, which is where the lock-acquisition counters shrink.
 //
-// The commit itself is split into two phases:
+// Every commit, with or without slots, is split into two phases:
 //
 //   apply phase (locked)      — replay own batch, own queue remainder, and
 //                               every claimed peer slot into the policy
@@ -61,8 +79,10 @@
 
 #include "core/access_queue.h"
 #include "core/coordinator.h"
+#include "obs/trace_recorder.h"
 #include "sync/mutex.h"
 #include "util/cacheline.h"
+#include "util/clock.h"
 #include "util/thread_annotations.h"
 
 namespace bpw {
@@ -74,17 +94,19 @@ class CombiningCoordinator : public Coordinator {
     size_t queue_size = 64;
     /// T in the paper: accesses accumulated before publish + TryLock.
     size_t batch_threshold = 32;
-    /// §III-B prefetching ("pgBat++" enables it; plain "combining" not).
+    /// §III-B prefetching (pgBatPre and pgBat++ enable it).
     bool prefetch = false;
-    /// Publication slots available. Threads beyond this many registered at
+    /// Publication slots available. 0 means none: the plain BP-Wrapper
+    /// protocol (pgBat, pgBatPre). Threads beyond this many registered at
     /// once degrade gracefully to plain BP-Wrapper behaviour (no publish,
     /// no handoff) — never an error.
     size_t max_slots = 64;
-    /// Bounded cooperative-handoff spin: after a failed TryLock with a
-    /// batch published, poll the slot this many times for adoption by the
-    /// current lock holder before giving up (still never blocking).
-    size_t handoff_spins = 4;
     LockInstrumentation instrumentation = LockInstrumentation::kCounts;
+    /// MUTATION KNOB — tests only. Skips the "commit queued accesses before
+    /// selecting a victim" ordering rule (Fig. 4), making the policy decide
+    /// on stale history. Breaks the single-thread equivalence property that
+    /// tests/stress/mutation_test.cc asserts the net catches.
+    bool test_skip_commit_before_victim = false;
     /// MUTATION KNOB — tests only. The lost-handoff bug: a combiner
     /// applies a claimed peer slot TWICE, double-counting its accesses.
     /// Breaks conservation (drained > published).
@@ -119,7 +141,9 @@ class CombiningCoordinator : public Coordinator {
   const ReplacementPolicy& policy() const override { return *policy_; }
   ReplacementPolicy* mutable_policy() override { return policy_.get(); }
   std::string name() const override {
-    return options_.prefetch ? "combining+pre" : "combining";
+    const std::string base =
+        options_.max_slots == 0 ? "bp-wrapper" : "combining";
+    return options_.prefetch ? base + "+pre" : base;
   }
   bool StateFingerprintSupported() const override {
     return policy_->StateFingerprintSupported();
@@ -185,6 +209,11 @@ class CombiningCoordinator : public Coordinator {
 
   static constexpr size_t kNoPubSlot = ~size_t{0};
 
+  /// Bounded cooperative-handoff spin: after a failed TryLock with a batch
+  /// published, poll the slot this many times for adoption by the current
+  /// lock holder before giving up (still never blocking).
+  static constexpr size_t kHandoffSpins = 4;
+
   class Slot : public ThreadSlot {
    public:
     Slot(CombiningCoordinator* owner, size_t queue_size)
@@ -194,7 +223,7 @@ class CombiningCoordinator : public Coordinator {
     CombiningCoordinator* owner_;
     AccessQueue queue;
     /// Index into pub_slots_, or kNoPubSlot when the array was exhausted
-    /// at registration (plain BP-Wrapper behaviour then).
+    /// (or empty) at registration: plain BP-Wrapper behaviour then.
     size_t pub_index = kNoPubSlot;
     /// Combine-time scratch: indices of peer slots this thread claimed in
     /// the current apply phase, recycled post-release. Capacity reserved
@@ -203,15 +232,16 @@ class CombiningCoordinator : public Coordinator {
   };
 
   /// What one locked apply phase did; consumed by the lock-free
-  /// post-commit phase after the early release.
+  /// post-commit phase after the early release. Construction stamps the
+  /// start of the commit-trace span when tracing is on.
   struct DrainOutcome {
     uint64_t batches = 0;
     uint64_t entries = 0;  ///< applied (net of stale)
     uint64_t stale = 0;
     uint64_t drained_published = 0;  ///< conservation RHS contribution
     uint64_t peer_batches = 0;
-    uint64_t trace_start = 0;
-    bool trace = false;
+    bool trace = obs::TraceEnabled();
+    uint64_t trace_start = trace ? NowNanos() : 0;
   };
 
   /// §III-B prefetch of everything the apply phase will touch from this

@@ -8,9 +8,11 @@
 //   SerializedCoordinator   — lock per access: the conventional DBMS design
 //                             the paper calls "pg2Q" (optionally with the
 //                             prefetch technique: "pgPre").
-//   BpWrapperCoordinator    — the paper's framework: per-thread FIFO queues,
+//   CombiningCoordinator    — the paper's framework: per-thread FIFO queues,
 //                             batched commits via TryLock, optional
-//                             prefetching ("pgBat" / "pgBatPre").
+//                             prefetching ("pgBat" / "pgBatPre"); with
+//                             publication slots it also combines peers'
+//                             batches ("pgBat++").
 //   ClockCoordinator        — lock-free reference-bit hits for CLOCK/GCLOCK:
 //                             the paper's scalability yardstick ("pgClock").
 //

@@ -1,6 +1,5 @@
 #include "core/coordinator_factory.h"
 
-#include "core/bp_wrapper.h"
 #include "core/clock_coordinator.h"
 #include "core/combining_coordinator.h"
 #include "core/serialized_coordinator.h"
@@ -64,17 +63,12 @@ StatusOr<std::unique_ptr<Coordinator>> CreateCoordinator(
     return std::unique_ptr<Coordinator>(
         new SharedQueueCoordinator(std::move(policy).value(), options));
   }
-  if (config.coordinator == "bp-wrapper") {
-    BpWrapperCoordinator::Options options;
-    options.queue_size = config.queue_size;
-    options.batch_threshold = config.batch_threshold;
-    options.prefetch = config.prefetch;
-    options.instrumentation = config.instrumentation;
-    return std::unique_ptr<Coordinator>(
-        new BpWrapperCoordinator(std::move(policy).value(), options));
-  }
-  if (config.coordinator == "combining") {
+  // "bp-wrapper" is the combining coordinator without publication slots:
+  // the plain Fig. 4 protocol.
+  if (config.coordinator == "bp-wrapper" ||
+      config.coordinator == "combining") {
     CombiningCoordinator::Options options;
+    if (config.coordinator == "bp-wrapper") options.max_slots = 0;
     options.queue_size = config.queue_size;
     options.batch_threshold = config.batch_threshold;
     options.prefetch = config.prefetch;
@@ -108,24 +102,20 @@ StatusOr<SystemConfig> PaperSystemConfig(const std::string& name) {
   }
   if (name == "pgBat") {
     config.coordinator = "bp-wrapper";
-    config.batching = true;
     return config;
   }
   if (name == "pgBatPre") {
     config.coordinator = "bp-wrapper";
-    config.batching = true;
     config.prefetch = true;
     return config;
   }
   if (name == "pgBat++") {
     config.coordinator = "combining";
-    config.batching = true;
     config.prefetch = true;
     return config;
   }
   if (name == "pgShard") {
     config.coordinator = "sharded";
-    config.batching = true;
     config.prefetch = true;
     config.policy_shards = 8;
     return config;

@@ -15,13 +15,13 @@ namespace bpw {
 struct SystemConfig {
   /// Policy name understood by CreatePolicy ("2q", "lirs", "clock", ...).
   std::string policy = "2q";
-  /// Coordinator kind: "serialized", "bp-wrapper", "combining" (BP-Wrapper
-  /// plus flat combining and early lock release — "pgBat++"), "sharded"
-  /// (per-shard policy instances with a lock-free hit path — "pgShard"),
-  /// "shared-queue" (the §III-A design the paper rejected; for ablations),
-  /// or "clock-lockfree" (the latter requires policy "clock" or "gclock").
+  /// Coordinator kind: "serialized", "bp-wrapper" (the paper's protocol:
+  /// CombiningCoordinator without publication slots), "combining"
+  /// (BP-Wrapper plus flat combining and early lock release — "pgBat++"),
+  /// "sharded" (per-shard policy instances with a lock-free hit path —
+  /// "pgShard"), "shared-queue" (the §III-A design the paper rejected; for
+  /// ablations), or "clock-lockfree" (requires policy "clock" or "gclock").
   std::string coordinator = "serialized";
-  bool batching = false;      ///< only meaningful for "bp-wrapper"/"combining"
   bool prefetch = false;      ///< §III-B prefetching
   size_t queue_size = 64;     ///< BP-Wrapper S
   size_t batch_threshold = 32;  ///< BP-Wrapper T

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "buffer/buffer_pool.h"
-#include "core/bp_wrapper.h"
 #include "core/combining_coordinator.h"
 #include "core/serialized_coordinator.h"
 #include "core/shared_queue_coordinator.h"
@@ -62,19 +61,15 @@ std::unique_ptr<Coordinator> BuildCoordinator(const ScenarioConfig& config,
     return std::make_unique<SharedQueueCoordinator>(std::move(policy).value(),
                                                     options);
   }
-  if (config.coordinator == "bp-wrapper") {
-    BpWrapperCoordinator::Options options;
+  // "bp-wrapper" is the combining coordinator without publication slots.
+  if (config.coordinator == "bp-wrapper" ||
+      config.coordinator == "combining") {
+    CombiningCoordinator::Options options;
+    if (config.coordinator == "bp-wrapper") options.max_slots = 0;
     options.queue_size = config.queue_size;
     options.batch_threshold = config.batch_threshold;
     options.test_skip_commit_before_victim =
         !faithful && config.mutate_skip_commit_before_victim;
-    return std::make_unique<BpWrapperCoordinator>(std::move(policy).value(),
-                                                  options);
-  }
-  if (config.coordinator == "combining") {
-    CombiningCoordinator::Options options;
-    options.queue_size = config.queue_size;
-    options.batch_threshold = config.batch_threshold;
     options.test_skip_release =
         !faithful && config.mutate_combine_skip_release;
     options.test_drain_twice =

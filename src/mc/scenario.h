@@ -60,7 +60,7 @@ struct ScenarioConfig {
   // Mutation knobs (reintroduce known-bad behaviour so the checker can
   // prove it finds them):
   bool mutate_skip_victim_revalidation = false;   // BufferPoolConfig knob
-  bool mutate_skip_commit_before_victim = false;  // BpWrapperCoordinator knob
+  bool mutate_skip_commit_before_victim = false;  // CombiningCoordinator knob
   bool mutate_commit_without_lock = false;        // SharedQueueCoordinator knob
   // CombiningCoordinator knobs (the seeded handoff bugs):
   bool mutate_combine_skip_release = false;       // slot never recycled
@@ -111,13 +111,13 @@ class Scenario {
   /// Named presets (the CLI's --scenario values):
   ///   "eviction" — 2 threads contending for 2 frames over 4 pages through
   ///                a SharedQueueCoordinator (the acceptance scenario);
-  ///   "handoff"  — 2 threads through BpWrapperCoordinator (TryLock commit
-  ///                handoffs and the lock fallback path);
+  ///   "handoff"  — 2 threads through the "bp-wrapper" coordinator (TryLock
+  ///                commit handoffs and the lock fallback path);
   ///   "race"     — 2 threads, all-hit trace through SharedQueueCoordinator
   ///                (every hit crosses the shared queue; the stage for the
   ///                commit-without-lock mutation);
-  ///   "serial"   — 1 thread through BpWrapperCoordinator with a trace
-  ///                whose hit/miss pattern is sensitive to the
+  ///   "serial"   — 1 thread through the "bp-wrapper" coordinator with a
+  ///                trace whose hit/miss pattern is sensitive to the
   ///                commit-before-victim rule; serial equivalence on.
   ///   "combine"  — 3 threads (two publishers + a combiner) through
   ///                CombiningCoordinator on an all-hit trace: every

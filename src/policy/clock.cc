@@ -34,7 +34,10 @@ StatusOr<ReplacementPolicy::Victim> ClockPolicy::ChooseVictim(
     const EvictableFn& evictable, PageId /*incoming*/) {
   // Two full sweeps suffice in the single-threaded case: the first sweep
   // clears every reference bit, the second finds a ref==0 frame. A third is
-  // allowed to paper over evictability churn under concurrency.
+  // allowed to paper over evictability churn under concurrency. Lock-free
+  // hits can re-set every bit as fast as the hand clears it, so the third
+  // sweep ignores the bit and takes the first resident evictable frame.
+  const size_t last_sweep = 2 * nodes_.size();
   const size_t limit = 3 * nodes_.size();
   for (size_t step = 0; step < limit; ++step) {
     Node& node = nodes_[hand_];
@@ -42,7 +45,7 @@ StatusOr<ReplacementPolicy::Victim> ClockPolicy::ChooseVictim(
     hand_ = (hand_ + 1) % nodes_.size();
     if (!node.resident.load(std::memory_order_relaxed)) continue;
     if (!evictable(frame)) continue;
-    if (node.ref.load(std::memory_order_relaxed)) {
+    if (step < last_sweep && node.ref.load(std::memory_order_relaxed)) {
       node.ref.store(false, std::memory_order_relaxed);  // second chance
       continue;
     }

@@ -39,7 +39,11 @@ void GClockPolicy::OnMiss(PageId page, FrameId frame) {
 
 StatusOr<ReplacementPolicy::Victim> GClockPolicy::ChooseVictim(
     const EvictableFn& evictable, PageId /*incoming*/) {
-  // Worst case the hand must decrement max_count_ counters to zero.
+  // Worst case the hand must decrement max_count_ counters to zero, which
+  // a single thread always finishes within max_count_ + 1 sweeps. Lock-free
+  // hits can keep raising counts under concurrency, so the one extra sweep
+  // ignores the count and takes the first resident evictable frame.
+  const size_t last_sweep = (max_count_ + 1) * nodes_.size();
   const size_t limit = (max_count_ + 2) * nodes_.size();
   for (size_t step = 0; step < limit; ++step) {
     Node& node = nodes_[hand_];
@@ -48,7 +52,7 @@ StatusOr<ReplacementPolicy::Victim> GClockPolicy::ChooseVictim(
     if (!node.resident.load(std::memory_order_relaxed)) continue;
     if (!evictable(frame)) continue;
     uint32_t c = node.count.load(std::memory_order_relaxed);
-    if (c > 0) {
+    if (step < last_sweep && c > 0) {
       node.count.store(c - 1, std::memory_order_relaxed);
       continue;
     }

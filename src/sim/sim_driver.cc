@@ -259,7 +259,7 @@ class Simulation {
   uint64_t writebacks_ = 0;
   uint64_t stale_commits_ = 0;
   // Measured-window batch-commit statistics, mirroring the names the host
-  // BpWrapperCoordinator registers with the metrics registry so BENCH json
+  // CombiningCoordinator registers with the metrics registry so BENCH json
   // carries one counter vocabulary across both execution modes.
   uint64_t commit_batches_ = 0;
   uint64_t committed_entries_ = 0;

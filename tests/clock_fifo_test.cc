@@ -104,15 +104,41 @@ TEST(ClockTest, ConcurrentLockFreeHitsDuringSweep) {
       }
     });
   }
-  // Serialized evict+insert cycles while hits fly.
+  // Serialized evict+insert cycles while hits fly. A failure is recorded,
+  // not asserted, until the hitters are joined: returning early would
+  // destroy joinable threads.
+  Status failure;
   for (int i = 0; i < 2000; ++i) {
     auto v = clock.ChooseVictim(All(), 1000 + i);
-    ASSERT_TRUE(v.ok());
+    if (!v.ok()) {
+      failure = v.status();
+      break;
+    }
     clock.OnMiss(1000 + i, v->frame);
   }
   stop.store(true);
   for (auto& th : hitters) th.join();
+  ASSERT_TRUE(failure.ok()) << failure.ToString();
   EXPECT_EQ(clock.resident_count(), 64u);
+}
+
+TEST(ClockTest, LastSweepIgnoresRefBitsReSetByConcurrentHits) {
+  // The evictable callback stands in for a concurrent lock-free hitter that
+  // re-sets each frame's bit just before the hand reads it, so no sweep
+  // ever sees ref == 0. Every frame is evictable; the hand must still
+  // return one instead of ResourceExhausted.
+  ClockPolicy clock(4);
+  clock.AssertExclusiveAccess();
+  for (PageId p = 0; p < 4; ++p) clock.OnMiss(p, static_cast<FrameId>(p));
+  auto v = clock.ChooseVictim(
+      [&clock](FrameId frame) {
+        clock.OnHitLockFree(static_cast<PageId>(frame), frame);
+        return true;
+      },
+      100);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v->frame, 0u) << "the third sweep starts where the hand began";
+  EXPECT_EQ(clock.resident_count(), 3u);
 }
 
 TEST(GClockTest, CounterSaturatesAtCap) {
@@ -146,6 +172,23 @@ TEST(GClockTest, EvictionDecrementsUntilZero) {
   auto v = gclock.ChooseVictim(All(), 9);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->page, 42u);  // only candidate; sweep decrements then evicts
+}
+
+TEST(GClockTest, LastSweepIgnoresCountsRaisedByConcurrentHits) {
+  // As for CLOCK: a hit before every inspection keeps each count at the
+  // cap, so no count ever reaches zero, yet every frame is evictable.
+  GClockPolicy gclock(4, /*max_count=*/3);
+  gclock.AssertExclusiveAccess();
+  for (PageId p = 0; p < 4; ++p) gclock.OnMiss(p, static_cast<FrameId>(p));
+  auto v = gclock.ChooseVictim(
+      [&gclock](FrameId frame) {
+        gclock.OnHitLockFree(static_cast<PageId>(frame), frame);
+        return true;
+      },
+      100);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v->frame, 0u);
+  EXPECT_EQ(gclock.resident_count(), 3u);
 }
 
 }  // namespace

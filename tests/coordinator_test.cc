@@ -220,7 +220,6 @@ TEST(PaperSystemsTest, ConfigsMatchTableOne) {
   auto batpp = PaperSystemConfig("pgBat++");
   ASSERT_TRUE(batpp.ok());
   EXPECT_EQ(batpp->coordinator, "combining");
-  EXPECT_TRUE(batpp->batching);
   EXPECT_TRUE(batpp->prefetch);
 
   auto shard = PaperSystemConfig("pgShard");
@@ -228,7 +227,6 @@ TEST(PaperSystemsTest, ConfigsMatchTableOne) {
   EXPECT_EQ(shard->policy, "2q");
   EXPECT_EQ(shard->coordinator, "sharded");
   EXPECT_EQ(shard->policy_shards, 8u);
-  EXPECT_TRUE(shard->batching);
   EXPECT_TRUE(shard->prefetch);
 
   EXPECT_FALSE(PaperSystemConfig("pgMagic").ok());

@@ -251,7 +251,6 @@ TEST_P(EquivalenceTest, RandomTraceWithDropsLeavesIdenticalPolicyState) {
   SystemConfig batched;
   batched.policy = policy;
   batched.coordinator = "bp-wrapper";
-  batched.batching = true;
   batched.queue_size = 64;
   batched.batch_threshold = 32;
   batched.prefetch = true;

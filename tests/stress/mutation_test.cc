@@ -8,14 +8,14 @@
 //     the evictor overwrites its frame). The stress harness must observe the
 //     resulting corruption — a stamp mismatch, an integrity violation, or a
 //     wedged stale mapping — and report it with the reproduction seed.
-//  2. BpWrapperCoordinator::Options::test_skip_commit_before_victim drops
+//  2. CombiningCoordinator::Options::test_skip_commit_before_victim drops
 //     the Fig. 4 "commit queued accesses before selecting a victim" rule.
 //     Single-threaded equivalence with the serialized coordinator (the
 //     paper's central claim, tests/equivalence_test.cc) must break.
 #include <gtest/gtest.h>
 
 #include "buffer/buffer_pool.h"
-#include "core/bp_wrapper.h"
+#include "core/combining_coordinator.h"
 #include "policy/policy_factory.h"
 #include "stress/stress_runner.h"
 #include "workload/trace_generator.h"
@@ -39,7 +39,6 @@ stress::StressOptions MutationStressOptions(uint64_t seed) {
   options.seed = seed;
   options.system.policy = "lru";
   options.system.coordinator = "bp-wrapper";
-  options.system.batching = true;
   options.threads = 4;
   options.ops_per_thread = 6000;
   // Tiny pool, big page set: almost every access evicts, maximizing trips
@@ -103,7 +102,6 @@ stress::StressOptions CombiningStressOptions(uint64_t seed) {
   options.seed = seed;
   options.system.policy = "lru";
   options.system.coordinator = "combining";
-  options.system.batching = true;
   // Small queue: frequent publications and adoptions, so a handoff bug
   // corrupts the books within the first few hundred ops.
   options.system.queue_size = 8;
@@ -292,18 +290,19 @@ TEST(MutationTest, EquivalenceCatchesSkippedCommitBeforeVictim) {
     return std::move(policy).value();
   };
 
-  BpWrapperCoordinator::Options faithful;
+  CombiningCoordinator::Options faithful;
+  faithful.max_slots = 0;  // the plain BP-Wrapper protocol
   faithful.queue_size = 64;
   faithful.batch_threshold = 32;
 
-  BpWrapperCoordinator::Options mutated = faithful;
+  CombiningCoordinator::Options mutated = faithful;
   mutated.test_skip_commit_before_victim = true;
 
   const std::vector<bool> base = HitSequence(
-      std::make_unique<BpWrapperCoordinator>(make_policy(), faithful),
+      std::make_unique<CombiningCoordinator>(make_policy(), faithful),
       kAccesses);
   const std::vector<bool> broken = HitSequence(
-      std::make_unique<BpWrapperCoordinator>(make_policy(), mutated),
+      std::make_unique<CombiningCoordinator>(make_policy(), mutated),
       kAccesses);
 
   // Committing after victim selection feeds the policy stale history, so

@@ -136,14 +136,12 @@ std::vector<StressConfig> DefaultStressMatrix() {
       SystemConfig c;
       c.policy = policy;
       c.coordinator = "bp-wrapper";
-      c.batching = true;
       matrix.push_back({"bp-wrapper/" + policy, c});
     }
     {
       SystemConfig c;
       c.policy = policy;
       c.coordinator = "bp-wrapper";
-      c.batching = true;
       c.prefetch = true;
       // A tiny queue forces frequent commits and the blocking-Lock fallback.
       c.queue_size = 8;
@@ -160,14 +158,12 @@ std::vector<StressConfig> DefaultStressMatrix() {
       SystemConfig c;
       c.policy = policy;
       c.coordinator = "combining";
-      c.batching = true;
       matrix.push_back({"combining/" + policy, c});
     }
     {
       SystemConfig c;
       c.policy = policy;
       c.coordinator = "combining";
-      c.batching = true;
       c.prefetch = true;
       // Tiny queue: frequent publications, constant combiner adoption
       // traffic, and the blocking-Lock fallback all get exercised.

@@ -34,7 +34,6 @@ TEST(StressHarnessTest, BpWrapperPassesUnderPerturbation) {
   StressOptions options = QuickOptions(11);
   options.system.policy = "2q";
   options.system.coordinator = "bp-wrapper";
-  options.system.batching = true;
   options.system.prefetch = true;
   const StressResult result = RunStress(options);
   EXPECT_TRUE(result.ok) << result.failure;
@@ -59,7 +58,6 @@ TEST(StressHarnessTest, TinyQueueExercisesLockFallback) {
   StressOptions options = QuickOptions(13);
   options.system.policy = "lru";
   options.system.coordinator = "bp-wrapper";
-  options.system.batching = true;
   options.system.queue_size = 4;
   options.system.batch_threshold = 2;
   const StressResult result = RunStress(options);
@@ -70,7 +68,6 @@ TEST(StressHarnessTest, SurvivesStorageFaults) {
   StressOptions options = QuickOptions(14);
   options.system.policy = "2q";
   options.system.coordinator = "bp-wrapper";
-  options.system.batching = true;
   options.faults.read_error_probability = 0.01;
   options.faults.write_error_probability = 0.01;
   options.faults.read_spike_probability = 0.005;
@@ -88,7 +85,6 @@ TEST(StressHarnessTest, SurvivesPageDrops) {
   StressOptions options = QuickOptions(15);
   options.system.policy = "lirs";
   options.system.coordinator = "bp-wrapper";
-  options.system.batching = true;
   options.drop_probability = 0.02;
   const StressResult result = RunStress(options);
   EXPECT_TRUE(result.ok) << result.failure;
