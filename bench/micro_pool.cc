@@ -1,5 +1,5 @@
 // Micro-benchmarks for the buffer-pool hot paths: the full FetchPage hit
-// path under each coordinator (hash lookup + pin + bookkeeping), the miss
+// path under each coordinator (table lookup + pin + bookkeeping), the miss
 // path, and the page-table primitives. These bound what any replacement
 // strategy can cost end-to-end on this host.
 #include <benchmark/benchmark.h>
@@ -72,39 +72,45 @@ void BM_FetchMissEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_FetchMissEvict);
 
+// The page-table cases map 10000 pages over 1024 frames; lookups of
+// unmapped pages draw from a second 10000-page range, so the table spans
+// 20000 page ids.
+constexpr PageId kTablePages = 10000;
+
 void BM_PageTableLookupHit(benchmark::State& state) {
-  PageTable table(128);
-  for (PageId p = 0; p < 10000; ++p) {
+  PageTable table(2 * kTablePages);
+  for (PageId p = 0; p < kTablePages; ++p) {
     table.Insert(p, static_cast<FrameId>(p % 1024));
   }
   Random rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Lookup(rng.Uniform(10000)));
+    benchmark::DoNotOptimize(table.Lookup(rng.Uniform(kTablePages)));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PageTableLookupHit);
 
 void BM_PageTableLookupMiss(benchmark::State& state) {
-  PageTable table(128);
-  for (PageId p = 0; p < 10000; ++p) {
+  PageTable table(2 * kTablePages);
+  for (PageId p = 0; p < kTablePages; ++p) {
     table.Insert(p, static_cast<FrameId>(p % 1024));
   }
   Random rng(4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Lookup(10000 + rng.Uniform(10000)));
+    benchmark::DoNotOptimize(
+        table.Lookup(kTablePages + rng.Uniform(kTablePages)));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PageTableLookupMiss);
 
 void BM_PageTableInsertErase(benchmark::State& state) {
-  PageTable table(128);
+  PageTable table(kTablePages);
   PageId p = 0;
   for (auto _ : state) {
     table.Insert(p, 0);
     table.Erase(p, 0);
-    ++p;
+    p = (p + 1) % kTablePages;
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -1,5 +1,6 @@
 #include "buffer/buffer_pool.h"
 
+#include <chrono>
 #include <thread>
 
 #include "obs/contention_profiler.h"
@@ -10,6 +11,26 @@
 #include "util/logging.h"
 
 namespace bpw {
+
+namespace {
+
+// One back-pressure wait: long enough to sleep through a pin holder's
+// critical path, short enough that a lost wakeup costs little.
+constexpr auto kFrameWaitSlice = std::chrono::milliseconds(1);
+
+// A full pool is one whose every frame stays pinned through this many
+// consecutive waits (about 100 ms when nobody unpins). Pins held by other
+// threads' live handles are normally released well inside that, even when
+// a holder is descheduled; pins the caller itself holds never are.
+constexpr int kFullPoolWaits = 100;
+
+// Liveness bound on back-pressure waits within one FetchPage. Every wait
+// that ends early means some frame was released and another thread won it;
+// thousands of losses in a row means the pool is wedged (the state fault
+// injection and mutation testing produce), and an error beats a hang.
+constexpr int kMaxFrameWaits = 2000;
+
+}  // namespace
 
 // ---------------------------------------------------------------- PageHandle
 
@@ -47,7 +68,7 @@ BufferPool::BufferPool(const BufferPoolConfig& config, StorageEngine* storage,
     : config_(config),
       storage_(storage),
       coordinator_(std::move(coordinator)),
-      table_(config.table_shards),
+      table_(storage->num_pages()),
       buffer_(config.num_frames * config.page_size),
       frames_(config.num_frames),
       frame_tags_(config.num_frames) {
@@ -69,12 +90,6 @@ BufferPool::BufferPool(const BufferPoolConfig& config, StorageEngine* storage,
   coordinator_->BindFrameTags(frame_tags_.data(), frame_tags_.size());
 
   free_lock_.BindProfSite(BPW_PROF_SITE("pool.free_list"));
-  // One site for every frame latch: per-frame attribution would be noise,
-  // the interesting number is the latch layer's aggregate cost.
-  const obs::ProfSiteId latch_site = BPW_PROF_SITE("pool.frame_latch");
-  for (auto& meta : frames_) {
-    meta.latch.BindProfSite(latch_site);
-  }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   metric_hits_ = registry.GetCounter("buffer.hits");
@@ -104,26 +119,105 @@ std::unique_ptr<BufferPool::Session> BufferPool::CreateSession() {
 }
 
 bool BufferPool::TryPin(FrameId frame, PageId page) {
-  // Window between the table lookup and the latch: the frame can be evicted
-  // and re-used for another page in here.
-  BPW_SCHEDULE_POINT("pool.try_pin");
   FrameMeta& meta = frames_[frame];
-  SpinLockGuard guard(meta.latch);
-  const bool ok = FrameTag(frame) == page &&
-                  !meta.io_busy.load(std::memory_order_relaxed);
-  if (ok) {
-    meta.pin_count.fetch_add(1, std::memory_order_relaxed);
+  // Window between the table lookup and the pin: the frame can be evicted
+  // and re-used for another page in here.
+  BPW_SCHEDULE_POINT_OBJ("pool.try_pin", &meta.state);
+  uint32_t state = meta.state.load(std::memory_order_relaxed);
+  // Each failed CAS means another pinner or the claimer changed the word.
+  BPW_BOUNDED_BY(concurrent_pinners);
+  while (true) {
+    if ((state & kBusy) != 0) return false;
+    if (meta.state.compare_exchange_weak(state, state + 1,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+      break;
+    }
   }
-  return ok;
+  // Pinned, but the lookup may be stale: the frame can have been evicted
+  // and re-used since. The pin stops any further eviction, so one tag
+  // check settles it; on a mismatch the transient pin is dropped.
+  BPW_SCHEDULE_POINT_OBJ("pool.pin_validate", &meta.state);
+  if (FrameTag(frame) != page) {
+    Unpin(frame, /*mark_dirty=*/false);
+    return false;
+  }
+  return true;
 }
 
 void BufferPool::Unpin(FrameId frame, bool mark_dirty) {
-  BPW_SCHEDULE_POINT("pool.unpin");
   FrameMeta& meta = frames_[frame];
+  BPW_SCHEDULE_POINT_OBJ("pool.unpin", &meta.state);
   if (mark_dirty) {
     meta.dirty.store(true, std::memory_order_release);
   }
-  meta.pin_count.fetch_sub(1, std::memory_order_release);
+  if (meta.state.fetch_sub(1, std::memory_order_release) == 1) {
+    FrameMayBeFree();
+  }
+}
+
+bool BufferPool::TryClaim(FrameId frame) {
+  uint32_t idle = 0;
+  return frames_[frame].state.compare_exchange_strong(
+      idle, kBusy, std::memory_order_acquire, std::memory_order_relaxed);
+}
+
+void BufferPool::ReleaseClaim(FrameId frame) {
+  const uint32_t before =
+      frames_[frame].state.fetch_and(~kBusy, std::memory_order_release);
+  if ((before & kPinMask) == 0) FrameMayBeFree();
+}
+
+void BufferPool::PushFreeFrame(FrameId frame) {
+  {
+    SpinLockGuard guard(free_lock_);
+    free_frames_.push_back(frame);
+  }
+  FrameMayBeFree();
+}
+
+size_t BufferPool::pinned_frames() const {
+  size_t pinned = 0;
+  for (const FrameMeta& meta : frames_) {
+    if ((meta.state.load(std::memory_order_relaxed) & kPinMask) != 0) {
+      ++pinned;
+    }
+  }
+  return pinned;
+}
+
+void BufferPool::NotifyFrameWaiters() {
+  {
+    MutexGuard lock(pending_mu_);
+    frame_signal_->epoch.fetch_add(1, std::memory_order_release);
+  }
+  WakePendingWaiters();
+}
+
+void BufferPool::WaitForFrame(uint64_t epoch) {
+  MutexGuard lock(pending_mu_);
+  const auto deadline = std::chrono::steady_clock::now() + kFrameWaitSlice;
+  while (frame_signal_->epoch.load(std::memory_order_acquire) == epoch) {
+#if BPW_SCHEDULE_POINTS
+    // The same cooperative bridge as BeginLoad: under the model checker the
+    // wait parks until NotifyFrameWaiters (no timeout; the checker reports
+    // a missed notification as a deadlock). An aborted run unwinds into
+    // FetchPage's retry loop.
+    testing::ScheduleController* controller =
+        testing::ScheduleController::Current();
+    if (controller != nullptr && controller->PrepareWait(&pending_cv_)) {
+      pending_mu_.unlock();
+      const bool woke = controller->CommitWait(&pending_cv_);
+      pending_mu_.lock();
+      if (!woke) return;
+      continue;
+    }
+#endif
+    if (pending_cv_.wait_until(pending_mu_, deadline) ==
+        std::cv_status::timeout) {
+      return;
+    }
+  }
 }
 
 bool BufferPool::BeginLoad(PageId page) {
@@ -165,6 +259,10 @@ void BufferPool::FinishLoad(PageId page) {
     MutexGuard lock(pending_mu_);
     pending_loads_.erase(page);
   }
+  WakePendingWaiters();
+}
+
+void BufferPool::WakePendingWaiters() {
   pending_cv_.notify_all();
 #if BPW_SCHEDULE_POINTS
   // Wake cooperative waiters too (the real notify_all above only reaches
@@ -175,18 +273,16 @@ void BufferPool::FinishLoad(PageId page) {
 #endif
 }
 
-StatusOr<FrameId> BufferPool::AcquireFrame(Session& session,
-                                           PageId incoming) {
-  // pin_count loads are acquire to pair with Unpin's release decrement:
+FrameId BufferPool::AcquireFrame(Session& session, PageId incoming,
+                                 int attempts) {
+  // The state load is acquire to pair with Unpin's release decrement:
   // observing 0 must order the previous holder's frame accesses before our
   // write-back / reuse of the frame bytes.
   const Coordinator::EvictableFn evictable = [this](FrameId f) {
-    const FrameMeta& meta = frames_[f];
-    return meta.pin_count.load(std::memory_order_acquire) == 0 &&
-           !meta.io_busy.load(std::memory_order_relaxed);
+    return frames_[f].state.load(std::memory_order_acquire) == 0;
   };
 
-  for (int attempt = 0;; ++attempt) {
+  for (int attempt = 1;; ++attempt) {
     // Fast path: an unused frame.
     {
       SpinLockGuard guard(free_lock_);
@@ -202,7 +298,7 @@ StatusOr<FrameId> BufferPool::AcquireFrame(Session& session,
     auto victim_or = coordinator_->ChooseVictim(session.slot_.get(),
                                                 evictable, incoming);
     if (!victim_or.ok()) {
-      if (attempt >= config_.eviction_retries) return victim_or.status();
+      if (attempt >= attempts) return kInvalidFrameId;
       // Everything evictable was pinned at sweep time; give pin holders a
       // chance to release.
       BPW_SCHEDULE_YIELD("pool.evict_retry");
@@ -212,42 +308,39 @@ StatusOr<FrameId> BufferPool::AcquireFrame(Session& session,
     FrameMeta& meta = frames_[victim.frame];
 
     // The classic race window: between the policy detaching the victim and
-    // us latching its frame, another thread can pin it.
-    BPW_SCHEDULE_POINT("pool.evict_latch");
-    meta.latch.lock();
-    const bool still_ours =
-        config_.test_skip_victim_revalidation ||
-        (FrameTag(victim.frame) == victim.page &&
-         meta.pin_count.load(std::memory_order_acquire) == 0 &&
-         !meta.io_busy.load(std::memory_order_relaxed));
-    if (!still_ours) {
-      meta.latch.unlock();
+    // our claim CAS, another thread can pin it. The claim fails then, and
+    // once it succeeds no new pin can land (TryPin refuses kBusy).
+    BPW_SCHEDULE_POINT_OBJ("pool.evict_claim", &meta.state);
+    bool claimed = true;
+    if (config_.test_skip_victim_revalidation) {
+      meta.state.fetch_or(kBusy, std::memory_order_acquire);
+    } else if (!TryClaim(victim.frame)) {
+      claimed = false;
+    } else if (FrameTag(victim.frame) != victim.page) {
+      ReleaseClaim(victim.frame);
+      claimed = false;
+    }
+    if (!claimed) {
       eviction_races_.fetch_add(1, std::memory_order_relaxed);
       // The policy already detached the page but someone pinned it between
-      // selection and latching. Re-register it so policy and pool agree,
+      // selection and the claim. Re-register it so policy and pool agree,
       // then retry.
       if (FrameTag(victim.frame) == victim.page) {
         coordinator_->CompleteMiss(session.slot_.get(), victim.page,
                                    victim.frame);
       }
-      if (attempt >= config_.eviction_retries) {
-        return Status::ResourceExhausted(
-            "buffer pool: eviction kept racing with pinners");
-      }
+      if (attempt >= attempts) return kInvalidFrameId;
       // Let the racing pinner (or an aborting drop) release the frame
       // before burning another attempt.
       BPW_SCHEDULE_YIELD("pool.evict_race_retry");
       continue;
     }
-    // Block new pins while we drain the frame.
-    meta.io_busy.store(true, std::memory_order_relaxed);
-    const bool dirty = meta.dirty.load(std::memory_order_relaxed);
-    meta.dirty.store(false, std::memory_order_relaxed);
-    meta.latch.unlock();
+    // kBusy blocks new pins while we drain the frame.
+    const bool dirty = meta.dirty.exchange(false, std::memory_order_relaxed);
 
     if (dirty) {
       // The mapping stays in the table during write-back: concurrent
-      // fetches of the victim keep failing TryPin (io_busy) instead of
+      // fetches of the victim keep failing TryPin (kBusy) instead of
       // re-reading a stale version from storage mid-write.
       BPW_PROF_PHASE("writeback");
       BPW_SCHEDULE_POINT("pool.evict_writeback");
@@ -269,10 +362,8 @@ StatusOr<FrameId> BufferPool::AcquireFrame(Session& session,
 
     BPW_SCHEDULE_POINT("pool.evict_publish");
     table_.Erase(victim.page, victim.frame);
-    meta.latch.lock();
     frame_tags_[victim.frame].store(kInvalidPageId, std::memory_order_release);
-    meta.io_busy.store(false, std::memory_order_relaxed);
-    meta.latch.unlock();
+    ReleaseClaim(victim.frame);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     BPW_METRIC_ADD(metric_evictions_, 1);
     if (obs::TraceEnabled()) {
@@ -287,6 +378,16 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
   if (page >= storage_->num_pages()) {
     return Status::InvalidArgument("page id beyond storage");
   }
+  // Registration as a back-pressure waiter, for the rest of this call once
+  // taken: while registered, every release of a frame bumps the epoch.
+  struct FrameWaiter {
+    std::atomic<uint32_t>* count = nullptr;
+    ~FrameWaiter() {
+      if (count != nullptr) count->fetch_sub(1, std::memory_order_release);
+    }
+  } waiter;
+  int frame_waits = 0;
+  int full_pool_waits = 0;
   // Liveness bound: a mapped frame normally becomes pinnable as soon as its
   // evictor/loader finishes (micro- to milliseconds, so a handful of
   // yields). Orders of magnitude past that means the mapping is wedged —
@@ -326,12 +427,37 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
       continue;
     }
 
-    auto frame_or = AcquireFrame(session, page);
-    if (!frame_or.ok()) {
+    // A registered waiter samples the epoch before its attempt, so a frame
+    // released after the attempt looked always ends the wait below.
+    const bool registered = waiter.count != nullptr;
+    const uint64_t epoch =
+        registered ? frame_signal_->epoch.load(std::memory_order_acquire) : 0;
+    const FrameId new_frame = AcquireFrame(
+        session, page, registered ? 1 : config_.eviction_retries + 1);
+    if (new_frame == kInvalidFrameId) {
       FinishLoad(page);
-      return frame_or.status();
+      // Nothing evictable: back-pressure, not an error. Frames are pinned
+      // by live handles or in flight (mid-eviction, mid-load, just detached
+      // by another evictor), and one will come free. Only a pool whose
+      // every frame stays pinned is exhausted.
+      full_pool_waits =
+          pinned_frames() == frames_.size() ? full_pool_waits + 1 : 0;
+      if (full_pool_waits > kFullPoolWaits) {
+        return Status::ResourceExhausted("buffer pool: every frame is pinned");
+      }
+      if (!registered) {
+        // Register, then retry once before waiting, so that an unpin
+        // between the failed attempts and the registration is not missed.
+        waiter.count = &frame_signal_->waiters;
+        waiter.count->fetch_add(1, std::memory_order_seq_cst);
+        continue;
+      }
+      if (++frame_waits > kMaxFrameWaits) {
+        return Status::Internal("buffer pool: no frame became evictable");
+      }
+      WaitForFrame(epoch);
+      continue;
     }
-    const FrameId new_frame = frame_or.value();
 
     BPW_SCHEDULE_POINT("pool.miss_read");
     Status status = [&] {
@@ -339,23 +465,21 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
       return storage_->ReadPage(page, FrameData(new_frame));
     }();
     if (!status.ok()) {
-      {
-        SpinLockGuard guard(free_lock_);
-        free_frames_.push_back(new_frame);
-      }
+      PushFreeFrame(new_frame);
       FinishLoad(page);
       return status;
     }
 
-    // Publish: tag + pin first, then the table mapping, then the policy.
+    // Publish: pin first, then the tag, then the table mapping, then the
+    // policy. The pin is a fetch_add, not a store: a stale pinner may hold
+    // a transient pin on this free frame, and its unpin must not cancel
+    // ours. Pinning before the tag store means whoever sees the new tag
+    // (a DropPage holding a stale lookup) also sees the pin.
     BPW_SCHEDULE_POINT("pool.fetch_publish");
     FrameMeta& meta = frames_[new_frame];
-    meta.latch.lock();
-    meta.pin_count.store(1, std::memory_order_relaxed);
     meta.dirty.store(false, std::memory_order_relaxed);
-    meta.io_busy.store(false, std::memory_order_relaxed);
+    meta.state.fetch_add(1, std::memory_order_relaxed);
     frame_tags_[new_frame].store(page, std::memory_order_release);
-    meta.latch.unlock();
 
     if (!table_.Insert(page, new_frame)) {
       // Impossible under single-flight; fail loudly in debug builds.
@@ -370,27 +494,32 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
 }
 
 Status BufferPool::DropPage(Session& session, PageId page) {
+  if (page >= storage_->num_pages()) {
+    return Status::InvalidArgument("page id beyond storage");
+  }
   BPW_SCHEDULE_POINT("pool.drop");
   const FrameId frame = table_.Lookup(page);
   if (frame == kInvalidFrameId) {
     return Status::NotFound("page not buffered");
   }
   FrameMeta& meta = frames_[frame];
-  meta.latch.lock();
+  if (!TryClaim(frame)) {
+    return Status::FailedPrecondition(
+        (meta.state.load(std::memory_order_relaxed) & kBusy) != 0
+            ? "page is mid-I/O"
+            : "page is pinned");
+  }
   if (FrameTag(frame) != page) {
-    meta.latch.unlock();
+    ReleaseClaim(frame);
     return Status::NotFound("page left the buffer concurrently");
   }
-  if (meta.pin_count.load(std::memory_order_acquire) != 0) {
-    meta.latch.unlock();
+  // The lookup can be stale and the frame re-loaded with this same page
+  // since: its loader pins without checking kBusy, before storing the tag
+  // we just read, so its pin is visible here.
+  if ((meta.state.load(std::memory_order_acquire) & kPinMask) != 0) {
+    ReleaseClaim(frame);
     return Status::FailedPrecondition("page is pinned");
   }
-  if (meta.io_busy.load(std::memory_order_relaxed)) {
-    meta.latch.unlock();
-    return Status::FailedPrecondition("page is mid-I/O");
-  }
-  meta.io_busy.store(true, std::memory_order_relaxed);
-  meta.latch.unlock();
 
   // The policy erase is the commit point, and it must come first: OnErase is
   // a test-and-erase, and a `false` answer means an evictor already detached
@@ -402,24 +531,15 @@ Status BufferPool::DropPage(Session& session, PageId page) {
   // a pinned page.
   BPW_SCHEDULE_POINT("pool.drop_erase");
   if (!coordinator_->OnErase(session.slot_.get(), page, frame)) {
-    meta.latch.lock();
-    meta.io_busy.store(false, std::memory_order_relaxed);
-    meta.latch.unlock();
+    ReleaseClaim(frame);
     return Status::FailedPrecondition("page is being evicted");
   }
 
   table_.Erase(page, frame);
-
-  meta.latch.lock();
   frame_tags_[frame].store(kInvalidPageId, std::memory_order_release);
   meta.dirty.store(false, std::memory_order_relaxed);
-  meta.io_busy.store(false, std::memory_order_relaxed);
-  meta.latch.unlock();
-
-  {
-    SpinLockGuard guard(free_lock_);
-    free_frames_.push_back(frame);
-  }
+  ReleaseClaim(frame);
+  PushFreeFrame(frame);
   return Status::OK();
 }
 
@@ -430,29 +550,27 @@ Status BufferPool::FlushAll() {
   Status first_error;
   for (FrameId frame = 0; frame < frames_.size(); ++frame) {
     FrameMeta& meta = frames_[frame];
-    meta.latch.lock();
-    const PageId page = FrameTag(frame);
-    if (page == kInvalidPageId ||
-        !meta.dirty.load(std::memory_order_relaxed) ||
-        meta.io_busy.load(std::memory_order_relaxed)) {
-      meta.latch.unlock();
+    // Claim the frame but keep its pins: a pinned dirty page is flushed
+    // too. A frame already busy belongs to an evictor or a drop.
+    if ((meta.state.fetch_or(kBusy, std::memory_order_acquire) & kBusy) !=
+        0) {
       continue;
     }
-    meta.io_busy.store(true, std::memory_order_relaxed);
-    meta.dirty.store(false, std::memory_order_relaxed);
-    meta.latch.unlock();
+    const PageId page = FrameTag(frame);
+    if (page == kInvalidPageId ||
+        !meta.dirty.exchange(false, std::memory_order_relaxed)) {
+      ReleaseClaim(frame);
+      continue;
+    }
 
     Status status = storage_->WritePage(page, FrameData(frame));
     writebacks_.fetch_add(1, std::memory_order_relaxed);
-
-    meta.latch.lock();
     if (!status.ok()) {
       // Restore dirtiness: the storage write did not happen.
       meta.dirty.store(true, std::memory_order_relaxed);
+      if (first_error.ok()) first_error = status;
     }
-    meta.io_busy.store(false, std::memory_order_relaxed);
-    meta.latch.unlock();
-    if (!status.ok() && first_error.ok()) first_error = status;
+    ReleaseClaim(frame);
   }
   return first_error;
 }
@@ -480,10 +598,11 @@ uint64_t BufferPool::StateFingerprint() const {
   fp.Combine(frames_.size());
   for (FrameId frame = 0; frame < frames_.size(); ++frame) {
     const FrameMeta& meta = frames_[frame];
+    const uint32_t state = meta.state.load(std::memory_order_acquire);
     fp.Combine(FrameTag(frame));
-    fp.Combine(meta.pin_count.load(std::memory_order_acquire));
+    fp.Combine(state & kPinMask);
     fp.Combine(meta.dirty.load(std::memory_order_relaxed) ? 1 : 0);
-    fp.Combine(meta.io_busy.load(std::memory_order_relaxed) ? 1 : 0);
+    fp.Combine((state & kBusy) != 0 ? 1 : 0);
   }
   // The free list is a stack, so its order is part of the state (it decides
   // which frame the next miss takes).
@@ -496,11 +615,11 @@ Status BufferPool::CheckIntegrity() {
   // Quiesced-only check: no concurrent traffic allowed.
   size_t mapped = 0;
   for (FrameId frame = 0; frame < frames_.size(); ++frame) {
-    const FrameMeta& meta = frames_[frame];
-    if (meta.pin_count.load(std::memory_order_acquire) != 0) {
+    const uint32_t state = frames_[frame].state.load(std::memory_order_acquire);
+    if ((state & kPinMask) != 0) {
       return Status::Corruption("quiesced frame still pinned");
     }
-    if (meta.io_busy.load(std::memory_order_relaxed)) {
+    if ((state & kBusy) != 0) {
       return Status::Corruption("quiesced frame still marked io-busy");
     }
     const PageId page = FrameTag(frame);

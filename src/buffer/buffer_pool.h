@@ -1,17 +1,23 @@
 // BufferPool: the buffer manager of Fig. 1/3 in the paper.
 //
 // Layout per page request (paper §II):
-//   1. look up the partitioned hash table (scalable, per-bucket locks);
+//   1. look up the page table (one atomic load; see page_table.h);
 //   2. on a hit, pin the frame and report the access to the Coordinator —
 //      which is where the paper's lock either does or does not get taken;
 //   3. on a miss, pick a victim through the Coordinator, write it back if
 //      dirty, read the new page from storage, publish the mapping.
 //
 // Concurrency design:
-//   - Each frame has a small latch guarding (tag, pin, io_busy) transitions;
-//     held only for a handful of instructions.
+//   - Each frame has one atomic state word: a pin count plus a kBusy bit. A
+//     hit pins with one CAS (refused while kBusy is set) and releases with
+//     one fetch_sub; it takes no lock and writes no other shared line.
+//     Eviction and DropPage own a frame exclusively by CASing its state
+//     from 0 (idle) to kBusy.
 //   - A miss is "single-flight": concurrent faults on the same page wait on
 //     a condition variable instead of issuing duplicate I/O.
+//   - A full pool is back-pressure: a miss that finds no evictable frame
+//     waits for an unpin, and fails with ResourceExhausted only when every
+//     frame is pinned.
 //   - The frame tag array is atomic and shared with the Coordinator so
 //     BP-Wrapper can re-validate queued accesses at commit time (§IV-B).
 #pragma once
@@ -27,6 +33,7 @@
 #include "storage/storage_engine.h"
 #include "sync/mutex.h"
 #include "sync/spinlock.h"
+#include "util/cacheline.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 #include "util/types.h"
@@ -87,12 +94,13 @@ struct AccessStats {
 struct BufferPoolConfig {
   size_t num_frames = 1024;
   size_t page_size = kDefaultPageSize;
-  size_t table_shards = 128;
-  /// Maximum ChooseVictim retries when races invalidate the chosen victim
-  /// before giving the scheduler a chance to run.
+  /// Victim-selection attempts (each followed by a yield) before a miss
+  /// that finds nothing evictable checks for a full pool and, if some frame
+  /// is unpinned, waits for an unpin instead of spinning.
   int eviction_retries = 64;
   /// MUTATION KNOB — tests only. Skips the eviction-time re-validation that
-  /// a chosen victim is still unpinned and still holds the selected page.
+  /// a chosen victim is still unpinned and still holds the selected page:
+  /// the claim sets kBusy without checking the pin count.
   /// This deliberately re-introduces the race the re-validation exists to
   /// close, so the stress harness's mutation self-test can prove it detects
   /// the resulting corruption (tests/stress/mutation_test.cc).
@@ -135,17 +143,15 @@ class BufferPool {
   std::unique_ptr<Session> CreateSession();
 
   /// Fetches `page`, reading it from storage on a miss, and returns a
-  /// pinned handle.
-  StatusOr<PageHandle> FetchPage(Session& session, PageId page)
-      BPW_HOLD_EFFECT_OK(alloc, "free-list push_back into capacity reserved "
-                                "for num_frames at construction");
+  /// pinned handle. A miss with nothing evictable waits for an unpin; it
+  /// fails with ResourceExhausted only if every frame is pinned.
+  StatusOr<PageHandle> FetchPage(Session& session, PageId page);
 
   /// Drops `page` from the buffer (invalidation). Fails with
-  /// FailedPrecondition if the page is pinned. The page is NOT written
+  /// InvalidArgument for a page beyond storage and with FailedPrecondition
+  /// if the page is pinned. The page is NOT written
   /// back: callers invalidating a page are discarding its contents.
-  Status DropPage(Session& session, PageId page)
-      BPW_HOLD_EFFECT_OK(alloc, "free-list push_back into capacity reserved "
-                                "for num_frames at construction");
+  Status DropPage(Session& session, PageId page);
 
   /// Writes back every dirty page (quiesced callers only).
   Status FlushAll();
@@ -170,7 +176,7 @@ class BufferPool {
     return writebacks_.load(std::memory_order_relaxed);
   }
   /// Times a chosen victim had to be re-registered because it was pinned
-  /// between selection and latching (rare race; see EvictOne).
+  /// between selection and the claim CAS (rare race; see AcquireFrame).
   uint64_t eviction_races() const {
     return eviction_races_.load(std::memory_order_relaxed);
   }
@@ -180,6 +186,11 @@ class BufferPool {
   uint64_t writeback_failures() const {
     return writeback_failures_.load(std::memory_order_relaxed);
   }
+
+  /// Frames with a non-zero pin count (a snapshot under concurrency). The
+  /// pool is full — and a miss fails with ResourceExhausted — only when
+  /// this equals num_frames().
+  size_t pinned_frames() const;
 
   /// Structural integrity check for tests: table/tag/policy agreement.
   Status CheckIntegrity();
@@ -194,18 +205,22 @@ class BufferPool {
  private:
   friend class PageHandle;
 
+  // FrameMeta::state layout: the pin count in the low 31 bits, kBusy on
+  // top. kBusy marks exclusive ownership (eviction, DropPage, FlushAll
+  // write-back); TryPin refuses a busy frame.
+  static constexpr uint32_t kBusy = 1u << 31;
+  static constexpr uint32_t kPinMask = kBusy - 1;
+
   struct FrameMeta {
-    SpinLock latch;
-    // Transitions happen under the latch; atomics allow the policy's
-    // evictability probe and Unpin to read/update without it. Relaxed is
-    // deliberate there: a stale probe answer only costs a retry, and the
-    // latch orders every transition that matters.
-    std::atomic<uint32_t> pin_count{0} BPW_RELAXED_OK(
-        "latch orders transitions; lock-free probes tolerate staleness");
+    // Pins are acquire CASes and release fetch_subs; the relaxed accesses
+    // are the CAS-loop reloads and the full-pool scan, whose stale answers
+    // only cost a retry or a wait slice.
+    std::atomic<uint32_t> state{0} BPW_RELAXED_OK(
+        "CAS-loop reloads and full-pool scans tolerate staleness");
+    // Written by pin holders and the frame's exclusive owner; read by the
+    // owner after its acquire claim of `state`, which orders it.
     std::atomic<bool> dirty{false} BPW_RELAXED_OK(
-        "latch orders transitions; lock-free probes tolerate staleness");
-    std::atomic<bool> io_busy{false} BPW_RELAXED_OK(
-        "latch orders transitions; lock-free probes tolerate staleness");
+        "ordered by the acquire claim / release unpin of state");
   };
 
   uint8_t* FrameData(FrameId frame) {
@@ -216,17 +231,45 @@ class BufferPool {
   }
 
   /// Attempts to pin `frame` expecting it to hold `page`. Returns false if
-  /// the frame moved on (caller retries the whole fetch).
+  /// the frame is busy or moved on (caller retries the whole fetch).
   bool TryPin(FrameId frame, PageId page);
 
   void Unpin(FrameId frame, bool mark_dirty);
 
+  /// One CAS from idle (no pins, not busy) to kBusy: the exclusive claim
+  /// eviction and DropPage take. Single-shot by design — a failed claim is
+  /// the caller's race path, never a spin.
+  bool TryClaim(FrameId frame);
+  /// Clears kBusy, keeping any pins taken meanwhile (a loader's publish
+  /// pin, a stale pinner's transient one).
+  void ReleaseClaim(FrameId frame);
+
   /// Obtains a clean, unmapped frame: from the free list, or by evicting.
-  StatusOr<FrameId> AcquireFrame(Session& session, PageId incoming);
+  /// Returns kInvalidFrameId when `attempts` victim selections all failed.
+  FrameId AcquireFrame(Session& session, PageId incoming, int attempts);
+
+  void PushFreeFrame(FrameId frame)
+      BPW_HOLD_EFFECT_OK(alloc, "free-list push_back into capacity reserved "
+                                "for num_frames at construction");
+
+  /// Back-pressure signal: while a waiter is registered, every event that
+  /// may make a frame evictable (an unpin to zero, a released claim, a
+  /// free-list push) bumps frame_signal_->epoch and wakes the waiters.
+  void FrameMayBeFree() {
+    if (frame_signal_->waiters.load(std::memory_order_relaxed) != 0) {
+      NotifyFrameWaiters();
+    }
+  }
+  void NotifyFrameWaiters();
+  /// Waits until frame_signal_->epoch moves past `epoch`, for at most one
+  /// slice.
+  void WaitForFrame(uint64_t epoch);
 
   /// Single-flight guard around the miss path.
   bool BeginLoad(PageId page);   // true if this thread owns the load
   void FinishLoad(PageId page);  // wakes waiters
+  /// Wakes every pending_cv_ waiter, real and cooperative.
+  void WakePendingWaiters();
 
   BufferPoolConfig config_;
   StorageEngine* storage_;
@@ -244,12 +287,25 @@ class BufferPool {
   SpinLock free_lock_;
   std::vector<FrameId> free_frames_ BPW_GUARDED_BY(free_lock_);
 
-  // Single-flight miss tracking. condition_variable_any (not _variable)
-  // because it waits on the annotated bpw::Mutex directly, keeping the
-  // guarded_by relation visible to the thread-safety analysis.
+  // Single-flight miss tracking and the back-pressure wait. Both wait on
+  // pending_cv_. condition_variable_any (not _variable) because it waits on
+  // the annotated bpw::Mutex directly, keeping the guarded_by relation
+  // visible to the thread-safety analysis.
   Mutex pending_mu_;
   std::condition_variable_any pending_cv_;
   std::unordered_set<PageId> pending_loads_ BPW_GUARDED_BY(pending_mu_);
+
+  // The back-pressure line. Every last unpin loads `waiters`, and no hit
+  // writes this line, so it stays shared-clean in the steady state.
+  struct FrameSignal {
+    // A stale zero in Unpin loses one notification; the waiter's timed
+    // slice bounds the cost.
+    std::atomic<uint32_t> waiters{0} BPW_RELAXED_OK(
+        "a missed waiter costs at most one wait slice");
+    // Bumped under pending_mu_ so the condvar wait cannot miss it.
+    std::atomic<uint64_t> epoch{0};
+  };
+  CacheAligned<FrameSignal> frame_signal_;
 
   std::atomic<uint64_t> evictions_{0} BPW_RELAXED_OK("stats counter");
   std::atomic<uint64_t> writebacks_{0} BPW_RELAXED_OK("stats counter");

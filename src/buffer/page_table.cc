@@ -1,56 +1,35 @@
 #include "buffer/page_table.h"
 
-#include <bit>
-
-#include "obs/contention_profiler.h"
-
 namespace bpw {
 
-PageTable::PageTable(size_t num_shards) {
-  if (num_shards == 0) num_shards = 1;
-  num_shards = std::bit_ceil(num_shards);
-  shards_ = std::vector<CacheAligned<Shard>>(num_shards);
-  shard_mask_ = num_shards - 1;
-  // All shard locks share one profiler site: the report answers "how much
-  // does the hash table cost", not "which of 128 buckets was unlucky".
-  const obs::ProfSiteId site = BPW_PROF_SITE("page_table.shard");
-  for (auto& aligned : shards_) {
-    aligned->lock.BindProfSite(site);
+PageTable::PageTable(size_t num_pages)
+    : num_pages_(num_pages),
+      frames_(std::make_unique<std::atomic<FrameId>[]>(num_pages)) {
+  for (size_t page = 0; page < num_pages_; ++page) {
+    frames_[page].store(kInvalidFrameId, std::memory_order_relaxed);
   }
-}
-
-FrameId PageTable::Lookup(PageId page) const {
-  const Shard& shard = ShardFor(page);
-  SpinLockGuard guard(shard.lock);
-  auto it = shard.map.find(page);
-  return it == shard.map.end() ? kInvalidFrameId : it->second;
 }
 
 bool PageTable::Insert(PageId page, FrameId frame) {
-  Shard& shard = ShardFor(page);
-  SpinLockGuard guard(shard.lock);
-  return shard.map.try_emplace(page, frame).second;
+  FrameId expected = kInvalidFrameId;
+  return frames_[page].compare_exchange_strong(expected, frame,
+                                               std::memory_order_acq_rel);
 }
 
 bool PageTable::Erase(PageId page, FrameId frame) {
-  Shard& shard = ShardFor(page);
-  SpinLockGuard guard(shard.lock);
-  auto it = shard.map.find(page);
-  if (it != shard.map.end() && it->second == frame) {
-    shard.map.erase(it);
-    return true;
-  }
-  return false;
+  FrameId expected = frame;
+  return frames_[page].compare_exchange_strong(expected, kInvalidFrameId,
+                                               std::memory_order_acq_rel);
 }
 
 size_t PageTable::size() const {
-  size_t total = 0;
-  for (const auto& aligned : shards_) {
-    const Shard& shard = *aligned;
-    SpinLockGuard guard(shard.lock);
-    total += shard.map.size();
+  size_t mapped = 0;
+  for (size_t page = 0; page < num_pages_; ++page) {
+    if (frames_[page].load(std::memory_order_acquire) != kInvalidFrameId) {
+      ++mapped;
+    }
   }
-  return total;
+  return mapped;
 }
 
 }  // namespace bpw

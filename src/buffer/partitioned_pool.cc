@@ -17,9 +17,6 @@ PartitionedPool::PartitionedPool(const BufferPoolConfig& config,
     BufferPoolConfig sub_config = config;
     sub_config.num_frames =
         i + 1 == num_partitions ? config.num_frames - base * i : base;
-    // Fewer table shards per partition: lookups already spread over
-    // partitions.
-    sub_config.table_shards = std::max<size_t>(8, config.table_shards / 8);
     auto coordinator = CreateCoordinator(system, sub_config.num_frames);
     assert(coordinator.ok());
     pools_.push_back(std::make_unique<BufferPool>(

@@ -51,6 +51,7 @@ std::string SerializeReplay(const ReplayFile& replay) {
   out << "param policy_shards " << c.policy_shards << "\n";
   out << "param rebalance_interval " << c.rebalance_interval << "\n";
   out << "param ops_per_thread " << c.ops_per_thread << "\n";
+  out << "param eviction_retries " << c.eviction_retries << "\n";
   if (!c.trace.empty()) out << "param trace " << JoinPages(c.trace) << "\n";
   out << "param serial_equivalence " << (c.check_serial_equivalence ? 1 : 0)
       << "\n";
@@ -136,6 +137,8 @@ StatusOr<ReplayFile> ParseReplay(const std::string& text) {
           c.rebalance_interval = std::stoull(value);
         } else if (key == "ops_per_thread") {
           c.ops_per_thread = std::stoi(value);
+        } else if (key == "eviction_retries") {
+          c.eviction_retries = std::stoi(value);
         } else if (key == "trace") {
           if (!ParsePages(value, &c.trace)) {
             return Status::InvalidArgument("replay: bad trace '" + value + "'");

@@ -13,7 +13,9 @@
 //      decision budget);
 //   2. worker-observed failures: FetchPage errors and stamp mismatches (a
 //      handle whose bytes belong to a different page — the corruption the
-//      victim-revalidation mutation re-introduces);
+//      victim-revalidation mutation re-introduces). ResourceExhausted is an
+//      error only while some frame is unpinned: a pool whose every frame
+//      is pinned is genuinely full;
 //   3. post-run structural integrity (BufferPool::CheckIntegrity);
 //   4. serial-equivalence: for single-threaded scenarios, the per-op
 //      hit/miss pattern must match a reference run on a mutation-free
@@ -50,6 +52,9 @@ struct ScenarioConfig {
   size_t policy_shards = 1;
   size_t rebalance_interval = 0;
   int ops_per_thread = 3;
+  /// BufferPoolConfig::eviction_retries: victim selections a miss tries
+  /// before it falls back to the back-pressure wait.
+  int eviction_retries = 64;
   /// Explicit per-thread access trace; when empty, thread t's op j accesses
   /// page (t*2 + j) % pages.
   std::vector<PageId> trace;
@@ -130,6 +135,12 @@ class Scenario {
   ///                exchange, and the quiesced cross-shard conservation
   ///                oracle are all on the path. The stage for the
   ///                shard_double_track / shard_stale_eviction mutations.
+  ///   "backpressure" — 3 fetchers missing over 2 frames with no eviction
+  ///                retries: a miss that finds both frames pinned or in
+  ///                flight takes the wait-for-unpin path. No
+  ///                ResourceExhausted unless both frames are pinned, and
+  ///                no lost wakeup (which the scheduler reports as a
+  ///                deadlock).
   static StatusOr<ScenarioConfig> Preset(const std::string& name);
   static std::vector<std::string> PresetNames();
 

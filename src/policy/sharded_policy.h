@@ -1,5 +1,5 @@
 // ShardedPolicy: a generic adapter that splits any replacement policy into
-// N independent shards, one per page-table partition slice.
+// N independent shards, one per hash slice of the page-id space.
 //
 // Motivation (ROADMAP scale axis): a single policy instance is one
 // capability behind one lock, so even BP-Wrapper's batched commits
@@ -8,12 +8,12 @@
 // so commits from different slices proceed in parallel and the per-shard
 // critical sections shrink.
 //
-// Routing: ShardOf() uses the page table's multiplicative hash family
-// (page_table.h, the 0x9E3779B97F4A7C15 stream) taken from the same high
-// bits. With a power-of-two shard count that matches the table's shard
-// count, a page's policy shard IS its page-table partition — the
-// partition↔shard binding: the thread that just touched a table shard's
-// lock line commits into the policy shard with the same index.
+// Routing: ShardOf() takes the high bits of a multiplicative (Fibonacci)
+// hash of the page id, the 0x9E3779B97F4A7C15 stream. Consecutive page
+// ids — a scan, a table's pages — spread across shards instead of piling
+// onto one, and a page's shard is a pure function of its id, so it stays
+// put across evictions and reloads. The formula is part of every recorded
+// sharded baseline: changing it moves pages between shards.
 //
 // Capacity: every shard is built with the FULL frame capacity. Shards
 // share the global frame supply, so the sum of resident pages can never
@@ -52,8 +52,8 @@ class ShardedPolicy : public ReplacementPolicy {
   static StatusOr<std::unique_ptr<ShardedPolicy>> Create(
       const std::string& inner, size_t num_shards, size_t num_frames);
 
-  /// Home shard of a page: the page-table hash family's high bits. Static
-  /// so tests can assert the partition↔shard binding without an instance.
+  /// Home shard of a page: the Fibonacci hash's high bits. Static so tests
+  /// can assert a page's shard without an instance.
   static size_t ShardOf(PageId page, size_t num_shards) {
     const uint64_t h = page * 0x9E3779B97F4A7C15ULL;
     return static_cast<size_t>(h >> 32) % num_shards;

@@ -112,8 +112,8 @@ class BPW_CAPABILITY("spinlock") SpinLock {
   }
 
   /// Attributes acquisitions to a contention-profiler site: pass a
-  /// BPW_PROF_SITE(...) root-path id. Many locks may share one site (all
-  /// page-table shards bind the same site and aggregate into one row).
+  /// BPW_PROF_SITE(...) root-path id. Many locks may share one site and
+  /// then aggregate into one row.
   /// Setup-time only — not synchronized against concurrent lock traffic.
   /// Recording compiles out under -DBPW_PROF=0.
   void BindProfSite(obs::ProfSiteId site) { prof_site_ = site; }

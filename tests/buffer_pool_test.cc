@@ -101,7 +101,7 @@ TEST(BufferPoolTest, AllPinnedFetchFails) {
   BufferPoolConfig config;
   config.num_frames = 2;
   config.page_size = kPageSize;
-  config.eviction_retries = 2;  // fail fast
+  config.eviction_retries = 2;  // few retries before the full-pool check
   auto pool = std::make_unique<BufferPool>(
       config, &storage,
       std::make_unique<SerializedCoordinator>(std::make_unique<LruPolicy>(2)));
@@ -110,9 +110,12 @@ TEST(BufferPoolTest, AllPinnedFetchFails) {
   auto h1 = pool->FetchPage(*session, 1);
   ASSERT_TRUE(h0.ok());
   ASSERT_TRUE(h1.ok());
+  // Every frame is pinned, and by this thread: nothing will come free, so
+  // after the bounded back-pressure wait the pool reports itself full.
   auto h2 = pool->FetchPage(*session, 2);
   ASSERT_FALSE(h2.ok());
   EXPECT_EQ(h2.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(pool->pinned_frames(), 2u);
   h0.value().Release();
   h1.value().Release();
   // After releasing, the fetch succeeds.

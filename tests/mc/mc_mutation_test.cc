@@ -86,15 +86,15 @@ TEST(MutationRediscoveryTest, SkipVictimRevalidationCorruptsAPinnedFrame) {
 TEST(MutationRediscoveryTest,
      SkipVictimRevalidationBreaksIntegrityThroughTheQueue) {
   // The same mutation through the SharedQueueCoordinator needs one more
-  // preemption (the queue lock's extra decision points consume the bound)
-  // and surfaces as the post-run integrity check instead: a quiesced frame
-  // left pinned.
+  // preemption (the queue lock's extra decision points consume the bound).
+  // It surfaces as the same direct symptom: the pinned frame is re-loaded
+  // with another page under its reader.
   auto preset = Scenario::Preset("eviction");
   ASSERT_TRUE(preset.ok());
   ScenarioConfig config = preset.value();
   config.mutate_skip_victim_revalidation = true;
   ExpectRediscovered(config, /*bound=*/3, ViolationKind::kInvariant,
-                     "integrity");
+                     "foreign bytes");
 }
 
 TEST(MutationRediscoveryTest, SkipCommitBeforeVictimChangesTheDecisions) {

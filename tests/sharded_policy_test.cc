@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -27,9 +28,9 @@ constexpr size_t kPageSize = 512;
 // Routing
 
 TEST(ShardedPolicyTest, ShardOfUsesThePageTableHashFamily) {
-  // The partition<->shard binding: the home shard is the page-table hash
-  // stream's high bits. Asserting the exact formula here pins the binding;
-  // if either side changes its hash, this test names the broken contract.
+  // The home shard is the Fibonacci hash stream's high bits. Asserting the
+  // exact formula here pins every shard assignment (and with it the
+  // recorded sharded baselines).
   for (PageId page : {PageId{0}, PageId{1}, PageId{12345}, PageId{1} << 40}) {
     const uint64_t h = page * 0x9E3779B97F4A7C15ULL;
     for (size_t shards : {1, 2, 3, 8, 64}) {
@@ -500,11 +501,15 @@ TEST(ShardedStampTest, ConcurrentStampingStaysConsistent) {
   // snapshot therefore has page/1000 == the tick's writer... too strong
   // (ticks are global). Instead: page encodes (writer, seq) and any
   // observed pair must simply be one that was genuinely written.
+  // The writers hold off until the reader is running: on a small host the
+  // whole write burst can otherwise finish before the reader is scheduled.
   std::atomic<bool> stop{false};
+  std::latch reader_started(1);
   std::vector<std::thread> threads;
   for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&coord, t] {
+    threads.emplace_back([&coord, &reader_started, t] {
       auto slot = coord.RegisterThread();
+      reader_started.wait();
       for (int i = 0; i < kIters; ++i) {
         const FrameId frame = static_cast<FrameId>(i % kFrames);
         const PageId page = static_cast<PageId>(t) * 1000000 + i;
@@ -513,19 +518,30 @@ TEST(ShardedStampTest, ConcurrentStampingStaysConsistent) {
       coord.FlushSlot(slot.get());
     });
   }
-  threads.emplace_back([&coord, &stop] {
+  threads.emplace_back([&coord, &stop, &reader_started] {
     uint64_t reads = 0;
+    auto check = [&reads](PageId page, uint64_t tick) {
+      ++reads;
+      // A published page is always writer*1000000 + i with i < kIters.
+      EXPECT_LT(page % 1000000, static_cast<PageId>(kIters));
+      EXPECT_LT(page / 1000000, static_cast<PageId>(kWriters));
+      EXPECT_GT(tick, 0u);
+    };
+    reader_started.count_down();
     while (!stop.load(std::memory_order_acquire)) {
       for (FrameId f = 0; f < kFrames; ++f) {
         PageId page = kInvalidPageId;
         uint64_t tick = 0;
         if (!coord.ReadStamp(f, &page, &tick)) continue;
-        ++reads;
-        // A published page is always writer*1000000 + i with i < kIters.
-        EXPECT_LT(page % 1000000, static_cast<PageId>(kIters));
-        EXPECT_LT(page / 1000000, static_cast<PageId>(kWriters));
-        EXPECT_GT(tick, 0u);
+        check(page, tick);
       }
+    }
+    // The writers are done: no stamp is mid-write, so every read succeeds.
+    for (FrameId f = 0; f < kFrames; ++f) {
+      PageId page = kInvalidPageId;
+      uint64_t tick = 0;
+      EXPECT_TRUE(coord.ReadStamp(f, &page, &tick)) << "frame " << f;
+      check(page, tick);
     }
     EXPECT_GT(reads, 0u);
   });

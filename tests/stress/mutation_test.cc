@@ -4,7 +4,7 @@
 //
 // Two mutations, one per protection layer:
 //  1. BufferPoolConfig::test_skip_victim_revalidation re-opens the
-//     select→latch eviction race (a victim can be pinned by a reader while
+//     select→claim eviction race (a victim can be pinned by a reader while
 //     the evictor overwrites its frame). The stress harness must observe the
 //     resulting corruption — a stamp mismatch, an integrity violation, or a
 //     wedged stale mapping — and report it with the reproduction seed.
@@ -42,12 +42,12 @@ stress::StressOptions MutationStressOptions(uint64_t seed) {
   options.threads = 4;
   options.ops_per_thread = 6000;
   // Tiny pool, big page set: almost every access evicts, maximizing trips
-  // through the mutated select→latch window.
+  // through the mutated select→claim window.
   options.frames = 16;
   options.pages = 96;
   options.hot_probability = 0.5;
   options.dirty_probability = 0.3;
-  // Widen the race window aggressively (the pool.evict_latch point sits
+  // Widen the race window aggressively (the pool.evict_claim point sits
   // exactly in the gap the skipped re-validation is supposed to close).
   options.schedule.sleep_probability = 0.02;
   options.schedule.max_sleep_micros = 200;

@@ -8,6 +8,7 @@
 
 #include "buffer/buffer_pool.h"
 #include "sync/mutex.h"
+#include "testing/schedule_point.h"
 #include "util/random.h"
 
 namespace bpw {
@@ -297,27 +298,37 @@ StressResult RunStress(const StressOptions& options) {
         // under a shared pin — content-level synchronization is the
         // caller's job in a real buffer manager, so the harness fetches
         // such pages (shared-pin coverage) but must not read their bytes.
-        if (op.page < layout.writable_base) {
-          // Read-only page: must still carry its initialization stamp.
-          const auto [word, version] = StorageEngine::ReadStamp(data);
-          if (word != op.page * kStampMix || version != 0) {
-            verify_mismatches.fetch_add(1, std::memory_order_relaxed);
+        auto verify = [&] {
+          if (op.page < layout.writable_base) {
+            // Read-only page: must still carry its initialization stamp.
+            const auto [word, version] = StorageEngine::ReadStamp(data);
+            if (word != op.page * kStampMix || version != 0) {
+              verify_mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+          } else if (owned && (op.dirty || last_written[t][op.page] > 0)) {
+            // A page this thread owns: the stamp must be internally
+            // consistent and no newer than what this thread (the only
+            // writer) produced.
+            const auto [word, version] = StorageEngine::ReadStamp(data);
+            if (word != op.page * kStampMix + version ||
+                version > last_written[t][op.page]) {
+              verify_mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
           }
-        } else if (owned && (op.dirty || last_written[t][op.page] > 0)) {
-          // A page this thread owns: the stamp must be internally consistent
-          // and no newer than what this thread (the only writer) produced.
-          const auto [word, version] = StorageEngine::ReadStamp(data);
-          if (word != op.page * kStampMix + version ||
-              version > last_written[t][op.page]) {
-            verify_mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
+        };
+        verify();
         if (op.dirty) {
           const uint64_t v = next_version++;
           StorageEngine::StampPage(data, options.page_size, op.page, v);
           handle->MarkDirty();
           last_written[t][op.page] = v;
         }
+        // Hold the pin across one more perturbation point and check again:
+        // under a pin, only this thread's own stamp may change the bytes.
+        // This catches an eviction that overwrites a pinned frame after the
+        // first look, not only one that lands before it.
+        BPW_SCHEDULE_POINT("stress.hold_pin");
+        verify();
       }
       pool->FlushSession(*session);
     });

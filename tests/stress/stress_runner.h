@@ -73,7 +73,8 @@ struct StressResult {
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t io_errors = 0;          ///< injected failures seen by workers
-  uint64_t verify_mismatches = 0;  ///< stamp checks that failed on fetch
+  /// Stamp checks that failed, on fetch and again before release.
+  uint64_t verify_mismatches = 0;
   uint64_t schedule_points = 0;    ///< points observed by the controller
   uint64_t perturbations = 0;
   testing::FaultStats fault_stats;
