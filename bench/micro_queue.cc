@@ -6,7 +6,7 @@
 
 #include "core/access_queue.h"
 #include "core/clock_coordinator.h"
-#include "core/combining_coordinator.h"
+#include "core/bp_wrapper.h"
 #include "core/serialized_coordinator.h"
 #include "policy/clock.h"
 #include "policy/two_q.h"
@@ -50,15 +50,12 @@ void BM_HitSerialized2Q(benchmark::State& state) {
 }
 BENCHMARK(BM_HitSerialized2Q);
 
-// The plain BP-Wrapper protocol: the combining coordinator without
-// publication slots.
-std::unique_ptr<CombiningCoordinator> MakeBpWrapper2Q(bool prefetch) {
-  CombiningCoordinator::Options options;
-  options.max_slots = 0;
+std::unique_ptr<BpWrapperCoordinator> MakeBpWrapper2Q(bool prefetch) {
+  BpWrapperCoordinator::Options options;
   options.queue_size = 64;
   options.batch_threshold = 32;
   options.prefetch = prefetch;
-  return std::make_unique<CombiningCoordinator>(
+  return std::make_unique<BpWrapperCoordinator>(
       std::make_unique<TwoQPolicy>(kFrames), options);
 }
 

@@ -513,7 +513,7 @@ class Checker {
       // fields at their own access sites; nothing further to check here.
       if (member == "this") continue;
       const FunctionDecl* fn = EnclosingFunction(fm, i);
-      // A whole object passed by name (e.g. `&pub` with `PubSlot& pub` in
+      // A whole object passed by name (e.g. `&slot` with `Slot& slot` in
       // scope) is checked type-wide below; a local must never fall through
       // to field-name resolution, which it would shadow.
       std::string type_name;

@@ -19,8 +19,8 @@
 // Rules:
 //   lock-order-cycle    — a cycle among blocking edges.
 //   leaf-lock-acquires  — a blocking edge out of a BPW_LOCK_LEAF class
-//                         (the pgShard "never two shard locks" invariant
-//                         is encoded as leaf-ness of the shard class).
+//                         (a "never two shard locks" invariant is
+//                         encoded as leaf-ness of the shard class).
 #pragma once
 
 #include <string>

@@ -31,11 +31,6 @@ constexpr const char* kDeterministicRegistryKeys[] = {
     "coord.commit_batches",   "coord.committed_entries",
     "coord.stale_commits",    "coord.lock_fallbacks",
     "coord.queue_lock_acquisitions",
-    // Flat-combining ("combining" coordinator / pgBat++) only:
-    "coord.published_batches", "coord.combined_batches",
-    // Sharded ("sharded" coordinator / pgShard) only: the rebalance
-    // exchange count is a deterministic function of the commit stream.
-    "coord.shard_rebalances",
 };
 
 void FillCounters(const DriverResult& r, CaseResult& out) {

@@ -12,8 +12,7 @@ namespace {
 
 SystemConfig MustSystem(const char* name) {
   auto system = PaperSystemConfig(name);
-  // Built-in suites only reference the named paper systems (plus pgBat++);
-  // a failure here is a programming error, surfaced as a default config
+  // Built-in suites only reference the named paper systems; a failure here is a programming error, surfaced as a default config
   // rather than UB.
   return system.ok() ? std::move(system).value() : SystemConfig{};
 }
@@ -141,101 +140,62 @@ std::deque<BenchSuite> BuildBuiltinSuites() {
   }
 
   {
-    // The Fig. 6 high-processor endpoint, framed as a head-to-head:
-    // pgBatPre (the paper's best) against pgBat++ (flat combining + early
-    // lock release). Everything is simulator-deterministic, so
-    // bench_compare gates the lock-acquisition/contention counters
-    // exactly — the committed baseline IS the record that combining
-    // retires multiple batches per acquisition.
+    // The Fig. 6 high-processor endpoint of the paper's best system,
+    // pgBatPre. Everything is simulator-deterministic, so bench_compare
+    // gates the lock-acquisition/contention counters exactly.
     BenchSuite fig6;
     fig6.name = "fig6";
     fig6.description =
-        "Fig. 6 endpoint duel: pgBatPre vs pgBat++ lock counters at p4/p16";
+        "Fig. 6 endpoint: pgBatPre lock counters at p4/p16";
     fig6.trials = 1;  // all cases deterministic; trials buy nothing
     fig6.warmup_trials = 0;
-    for (const char* system : {"pgBatPre", "pgBat++"}) {
-      for (uint32_t procs : {4u, 16u}) {
-        fig6.cases.push_back(
-            SimDet(std::string("det.sim.dbt2.") + system + ".p" +
-                       std::to_string(procs),
-                   "dbt2", 8192, system, procs,
-                   /*tx_per_proc=*/400, /*access_work=*/3500));
-      }
-      fig6.cases.push_back(SimDet(std::string("det.sim.tablescan.") + system +
-                                      ".p16",
-                                  "tablescan", 2048, system, 16,
-                                  /*tx_per_proc=*/300, /*access_work=*/1500));
+    for (uint32_t procs : {4u, 16u}) {
+      fig6.cases.push_back(SimDet(
+          "det.sim.dbt2.pgBatPre.p" + std::to_string(procs), "dbt2", 8192,
+          "pgBatPre", procs, /*tx_per_proc=*/400, /*access_work=*/3500));
     }
+    fig6.cases.push_back(SimDet("det.sim.tablescan.pgBatPre.p16", "tablescan",
+                                2048, "pgBatPre", 16,
+                                /*tx_per_proc=*/300, /*access_work=*/1500));
     suites.push_back(std::move(fig6));
   }
 
   {
-    // The sharded scaling sweep: pgShard against the previous best
-    // (pgBat++) and the paper's best (pgBatPre), first at the Fig. 6
-    // p16 operating point (the acceptance head-to-head for the
-    // lock-acquisition counter), then at p64/p128 under the NUMA cost
-    // mode (2 nodes) — the regime past the paper's largest machine,
-    // where cross-node coherence transfers punish every shared-line
-    // touch the hit path makes. All deterministic; bench_compare gates
-    // the lock and shard-rebalance counters exactly.
+    // pgBatPre's scaling past the paper's largest machine: the Fig. 6
+    // p16 operating point, then p64/p128 under the NUMA cost mode (2
+    // nodes), where cross-node coherence transfers punish every shared-line
+    // touch. All deterministic; bench_compare gates the lock counters
+    // exactly.
     BenchSuite fig8;
     fig8.name = "fig8";
-    fig8.description =
-        "sharded scaling: pgBatPre vs pgBat++ vs pgShard at p16 and "
-        "NUMA p64/p128";
+    fig8.description = "pgBatPre scaling at p16 and NUMA p64/p128";
     fig8.trials = 1;
     fig8.warmup_trials = 0;
-    for (const char* system : {"pgBatPre", "pgBat++", "pgShard"}) {
-      fig8.cases.push_back(SimDet(std::string("det.sim.dbt2.") + system +
-                                      ".p16",
-                                  "dbt2", 8192, system, 16,
-                                  /*tx_per_proc=*/400, /*access_work=*/3500));
-      for (uint32_t procs : {64u, 128u}) {
-        BenchCase numa = SimDet(std::string("det.sim.dbt2.") + system +
-                                    ".p" + std::to_string(procs) + ".numa2",
-                                "dbt2", 8192, system, procs,
-                                /*tx_per_proc=*/200, /*access_work=*/3500);
-        numa.sim_costs.numa_nodes = 2;
-        fig8.cases.push_back(std::move(numa));
-      }
-    }
-    {
-      // Eviction-pressure point: the prewarmed cases above never miss, so
-      // their commit stream (and the shard_rebalances gate) is empty. This
-      // one undersizes the pool so the miss path — commits, borrows, and
-      // the rebalance cadence — carries real, gated counts.
-      BenchCase evict = SimDet("det.sim.dbt2.pgShard.p16.evict", "dbt2",
-                               8192, "pgShard", 16,
-                               /*tx_per_proc=*/400, /*access_work=*/3500);
-      evict.config.num_frames = 1024;
-      evict.config.prewarm = false;
-      fig8.cases.push_back(std::move(evict));
-
-      // Same point with sharded ARC: the only stack whose rebalance
-      // exchange (the batched cross-shard target-p blend) actually runs,
-      // so coord.shard_rebalances is gated at a non-zero value.
-      BenchCase arc = SimDet("det.sim.dbt2.shardedARC.p16.evict", "dbt2",
-                             8192, "pgShard", 16,
-                             /*tx_per_proc=*/400, /*access_work=*/3500);
-      arc.config.system.policy = "arc";
-      arc.config.num_frames = 1024;
-      arc.config.prewarm = false;
-      fig8.cases.push_back(std::move(arc));
+    fig8.cases.push_back(SimDet("det.sim.dbt2.pgBatPre.p16", "dbt2", 8192,
+                                "pgBatPre", 16,
+                                /*tx_per_proc=*/400, /*access_work=*/3500));
+    for (uint32_t procs : {64u, 128u}) {
+      BenchCase numa = SimDet(
+          "det.sim.dbt2.pgBatPre.p" + std::to_string(procs) + ".numa2",
+          "dbt2", 8192, "pgBatPre", procs,
+          /*tx_per_proc=*/200, /*access_work=*/3500);
+      numa.sim_costs.numa_nodes = 2;
+      fig8.cases.push_back(std::move(numa));
     }
     suites.push_back(std::move(fig8));
   }
 
   {
     // Lock-path microscope: tiny non-critical work so the ContentionLock
-    // is the whole story, across the three coordination designs
-    // (serialized, batched TryLock, flat combining). Deterministic.
+    // is the whole story, across the two coordination designs
+    // (serialized, batched TryLock). Deterministic.
     BenchSuite micro_lock;
     micro_lock.name = "micro_lock";
     micro_lock.description =
-        "lock-path duel at near-zero think time: pg2Q vs pgBatPre vs pgBat++";
+        "lock-path duel at near-zero think time: pg2Q vs pgBatPre";
     micro_lock.trials = 1;
     micro_lock.warmup_trials = 0;
-    for (const char* system : {"pg2Q", "pgBatPre", "pgBat++"}) {
+    for (const char* system : {"pg2Q", "pgBatPre"}) {
       micro_lock.cases.push_back(
           SimDet(std::string("det.sim.tablescan.") + system + ".p16.hot",
                  "tablescan", 1024, system, 16,

@@ -98,14 +98,14 @@ BufferPool::BufferPool(const BufferPoolConfig& config, StorageEngine* storage,
   metric_writebacks_ = registry.GetCounter("buffer.writebacks");
   metrics_source_ = obs::ScopedMetricSource(
       &registry, [this](obs::MetricsSnapshot& snap) {
-        snap.Add("buffer.num_frames",
-                 static_cast<double>(config_.num_frames));
+        snap.AddGauge("buffer.num_frames",
+                      static_cast<double>(config_.num_frames));
         size_t free_count = 0;
         {
           SpinLockGuard guard(free_lock_);
           free_count = free_frames_.size();
         }
-        snap.Add("buffer.free_frames", static_cast<double>(free_count));
+        snap.AddGauge("buffer.free_frames", static_cast<double>(free_count));
         snap.Add("buffer.eviction_races",
                  static_cast<double>(eviction_races()));
       });
@@ -650,11 +650,9 @@ Status BufferPool::CheckIntegrity() {
   if (mapped + free_frames.size() != config_.num_frames) {
     return Status::Corruption("mapped + free != total frames");
   }
-  // Coordinator-internal conservation checks first (combining publication
-  // slots: every published batch applied exactly once; sharded: every
-  // mapped page tracked by exactly its home shard). They subsume the
-  // resident-count compare below and produce far more specific diagnoses,
-  // so a conservation bug must reach its own message, not the generic one.
+  // Coordinator-internal conservation checks first: a coordinator with
+  // internal hand-off state reports its own, more specific diagnosis before
+  // the generic resident-count compare below.
   Status coord_status = coordinator_->CheckQuiescedInvariants();
   if (!coord_status.ok()) return coord_status;
   // Quiesced by contract (no concurrent traffic), so this thread has

@@ -8,11 +8,11 @@
 //   SerializedCoordinator   — lock per access: the conventional DBMS design
 //                             the paper calls "pg2Q" (optionally with the
 //                             prefetch technique: "pgPre").
-//   CombiningCoordinator    — the paper's framework: per-thread FIFO queues,
+//   BpWrapperCoordinator    — the paper's framework: per-thread FIFO queues,
 //                             batched commits via TryLock, optional
-//                             prefetching ("pgBat" / "pgBatPre"); with
-//                             publication slots it also combines peers'
-//                             batches ("pgBat++").
+//                             prefetching ("pgBat" / "pgBatPre").
+//   SharedQueueCoordinator  — one queue shared by all threads: the §III-A
+//                             design the paper rejected (ablations only).
 //   ClockCoordinator        — lock-free reference-bit hits for CLOCK/GCLOCK:
 //                             the paper's scalability yardstick ("pgClock").
 //
@@ -128,10 +128,8 @@ class Coordinator {
 
   /// Coordinator-internal conservation checks, run by
   /// BufferPool::CheckIntegrity() while the pool is quiesced (no thread is
-  /// inside any coordinator call). The combining coordinator proves here
-  /// that every published batch was applied exactly once
-  /// (published == drained + still-pending); coordinators without internal
-  /// hand-off state have nothing to check.
+  /// inside any coordinator call). Coordinators without internal hand-off
+  /// state have nothing to check.
   virtual Status CheckQuiescedInvariants() const { return Status::OK(); }
 
   /// Binds the frame→page tag array the buffer pool maintains, used by

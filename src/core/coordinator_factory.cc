@@ -1,12 +1,10 @@
 #include "core/coordinator_factory.h"
 
+#include "core/bp_wrapper.h"
 #include "core/clock_coordinator.h"
-#include "core/combining_coordinator.h"
 #include "core/serialized_coordinator.h"
 #include "core/shared_queue_coordinator.h"
-#include "core/sharded_coordinator.h"
 #include "policy/policy_factory.h"
-#include "policy/sharded_policy.h"
 
 namespace bpw {
 
@@ -28,23 +26,6 @@ StatusOr<std::unique_ptr<Coordinator>> CreateCoordinator(
         config.policy);
   }
 
-  if (config.coordinator == "sharded") {
-    // The sharded coordinator owns a ShardedPolicy built from the inner
-    // policy name; config.policy here names the *inner* policy.
-    const size_t shards = config.policy_shards == 0 ? 1 : config.policy_shards;
-    auto sharded = ShardedPolicy::Create(config.policy, shards, num_frames);
-    if (!sharded.ok()) return sharded.status();
-    ShardedCoordinator::Options options;
-    options.queue_size = config.queue_size;
-    options.prefetch = config.prefetch;
-    options.rebalance_interval = config.rebalance_interval;
-    options.instrumentation = config.instrumentation;
-    options.test_shard_double_track = config.test_shard_double_track;
-    options.test_shard_stale_eviction = config.test_shard_stale_eviction;
-    return std::unique_ptr<Coordinator>(
-        new ShardedCoordinator(std::move(sharded).value(), options));
-  }
-
   auto policy = CreatePolicy(config.policy, num_frames);
   if (!policy.ok()) return policy.status();
 
@@ -63,22 +44,14 @@ StatusOr<std::unique_ptr<Coordinator>> CreateCoordinator(
     return std::unique_ptr<Coordinator>(
         new SharedQueueCoordinator(std::move(policy).value(), options));
   }
-  // "bp-wrapper" is the combining coordinator without publication slots:
-  // the plain Fig. 4 protocol.
-  if (config.coordinator == "bp-wrapper" ||
-      config.coordinator == "combining") {
-    CombiningCoordinator::Options options;
-    if (config.coordinator == "bp-wrapper") options.max_slots = 0;
+  if (config.coordinator == "bp-wrapper") {
+    BpWrapperCoordinator::Options options;
     options.queue_size = config.queue_size;
     options.batch_threshold = config.batch_threshold;
     options.prefetch = config.prefetch;
     options.instrumentation = config.instrumentation;
-    options.test_drain_twice = config.test_combine_drain_twice;
-    options.test_clear_ready_before_apply =
-        config.test_combine_clear_ready_before_apply;
-    options.test_skip_release = config.test_combine_skip_release;
     return std::unique_ptr<Coordinator>(
-        new CombiningCoordinator(std::move(policy).value(), options));
+        new BpWrapperCoordinator(std::move(policy).value(), options));
   }
   return Status::InvalidArgument("unknown coordinator: " + config.coordinator);
 }
@@ -109,23 +82,11 @@ StatusOr<SystemConfig> PaperSystemConfig(const std::string& name) {
     config.prefetch = true;
     return config;
   }
-  if (name == "pgBat++") {
-    config.coordinator = "combining";
-    config.prefetch = true;
-    return config;
-  }
-  if (name == "pgShard") {
-    config.coordinator = "sharded";
-    config.prefetch = true;
-    config.policy_shards = 8;
-    return config;
-  }
   return Status::InvalidArgument("unknown paper system: " + name);
 }
 
 std::vector<std::string> PaperSystemNames() {
-  return {"pgClock", "pg2Q", "pgPre", "pgBat", "pgBatPre", "pgBat++",
-          "pgShard"};
+  return {"pgClock", "pg2Q", "pgPre", "pgBat", "pgBatPre"};
 }
 
 }  // namespace bpw

@@ -48,8 +48,6 @@ std::string SerializeReplay(const ReplayFile& replay) {
   out << "param frames " << c.frames << "\n";
   out << "param queue_size " << c.queue_size << "\n";
   out << "param batch_threshold " << c.batch_threshold << "\n";
-  out << "param policy_shards " << c.policy_shards << "\n";
-  out << "param rebalance_interval " << c.rebalance_interval << "\n";
   out << "param ops_per_thread " << c.ops_per_thread << "\n";
   out << "param eviction_retries " << c.eviction_retries << "\n";
   if (!c.trace.empty()) out << "param trace " << JoinPages(c.trace) << "\n";
@@ -61,10 +59,6 @@ std::string SerializeReplay(const ReplayFile& replay) {
       << (c.mutate_skip_commit_before_victim ? 1 : 0) << "\n";
   out << "param mutate_commit_without_lock "
       << (c.mutate_commit_without_lock ? 1 : 0) << "\n";
-  out << "param mutate_shard_double_track "
-      << (c.mutate_shard_double_track ? 1 : 0) << "\n";
-  out << "param mutate_shard_stale_eviction "
-      << (c.mutate_shard_stale_eviction ? 1 : 0) << "\n";
   out << "param max_decisions " << c.max_decisions << "\n";
   out << "violation " << replay.violation_kind << "\n";
   out << "choices";
@@ -131,10 +125,6 @@ StatusOr<ReplayFile> ParseReplay(const std::string& text) {
           c.queue_size = std::stoull(value);
         } else if (key == "batch_threshold") {
           c.batch_threshold = std::stoull(value);
-        } else if (key == "policy_shards") {
-          c.policy_shards = std::stoull(value);
-        } else if (key == "rebalance_interval") {
-          c.rebalance_interval = std::stoull(value);
         } else if (key == "ops_per_thread") {
           c.ops_per_thread = std::stoi(value);
         } else if (key == "eviction_retries") {
@@ -151,10 +141,6 @@ StatusOr<ReplayFile> ParseReplay(const std::string& text) {
           c.mutate_skip_commit_before_victim = value == "1";
         } else if (key == "mutate_commit_without_lock") {
           c.mutate_commit_without_lock = value == "1";
-        } else if (key == "mutate_shard_double_track") {
-          c.mutate_shard_double_track = value == "1";
-        } else if (key == "mutate_shard_stale_eviction") {
-          c.mutate_shard_stale_eviction = value == "1";
         } else if (key == "max_decisions") {
           c.max_decisions = std::stoull(value);
         } else {

@@ -5,12 +5,10 @@
 #include <thread>
 
 #include "buffer/buffer_pool.h"
-#include "core/combining_coordinator.h"
+#include "core/bp_wrapper.h"
 #include "core/serialized_coordinator.h"
 #include "core/shared_queue_coordinator.h"
-#include "core/sharded_coordinator.h"
 #include "policy/policy_factory.h"
-#include "policy/sharded_policy.h"
 #include "storage/storage_engine.h"
 #include "util/fingerprint.h"
 
@@ -24,26 +22,6 @@ constexpr size_t kPageSize = 256;
 std::unique_ptr<Coordinator> BuildCoordinator(const ScenarioConfig& config,
                                               size_t frames, bool faithful,
                                               std::string* error) {
-  if (config.coordinator == "sharded") {
-    // The sharded coordinator owns a ShardedPolicy; config.policy names the
-    // inner per-shard policy.
-    const size_t shards =
-        config.policy_shards == 0 ? 1 : config.policy_shards;
-    auto sharded = ShardedPolicy::Create(config.policy, shards, frames);
-    if (!sharded.ok()) {
-      *error = sharded.status().ToString();
-      return nullptr;
-    }
-    ShardedCoordinator::Options options;
-    options.queue_size = config.queue_size;
-    options.rebalance_interval = config.rebalance_interval;
-    options.test_shard_double_track =
-        !faithful && config.mutate_shard_double_track;
-    options.test_shard_stale_eviction =
-        !faithful && config.mutate_shard_stale_eviction;
-    return std::make_unique<ShardedCoordinator>(std::move(sharded).value(),
-                                                options);
-  }
   auto policy = CreatePolicy(config.policy, frames);
   if (!policy.ok()) {
     *error = policy.status().ToString();
@@ -61,26 +39,17 @@ std::unique_ptr<Coordinator> BuildCoordinator(const ScenarioConfig& config,
     return std::make_unique<SharedQueueCoordinator>(std::move(policy).value(),
                                                     options);
   }
-  // "bp-wrapper" is the combining coordinator without publication slots.
-  if (config.coordinator == "bp-wrapper" ||
-      config.coordinator == "combining") {
-    CombiningCoordinator::Options options;
-    if (config.coordinator == "bp-wrapper") options.max_slots = 0;
+  if (config.coordinator == "bp-wrapper") {
+    BpWrapperCoordinator::Options options;
     options.queue_size = config.queue_size;
     options.batch_threshold = config.batch_threshold;
     options.test_skip_commit_before_victim =
         !faithful && config.mutate_skip_commit_before_victim;
-    options.test_skip_release =
-        !faithful && config.mutate_combine_skip_release;
-    options.test_drain_twice =
-        !faithful && config.mutate_combine_drain_twice;
-    options.test_clear_ready_before_apply =
-        !faithful && config.mutate_combine_clear_ready;
-    return std::make_unique<CombiningCoordinator>(std::move(policy).value(),
+    return std::make_unique<BpWrapperCoordinator>(std::move(policy).value(),
                                                   options);
   }
   *error = "unknown coordinator '" + config.coordinator +
-           "' (serialized, shared-queue, bp-wrapper, combining, sharded)";
+           "' (serialized, shared-queue, bp-wrapper)";
   return nullptr;
 }
 
@@ -235,42 +204,6 @@ StatusOr<ScenarioConfig> Scenario::Preset(const std::string& name) {
     config.check_serial_equivalence = true;
     return config;
   }
-  if (name == "combine") {
-    // Two publishers + one combiner through the flat-combining commit
-    // path. All three threads walk the two resident-after-first-touch
-    // pages, with batch threshold 2 and 4 ops: each thread publishes its
-    // batch at least once, a TryLock winner adopts whatever peers have
-    // posted, losers run the bounded cooperative-handoff spin, and the
-    // quiesced conservation check (published == drained + pending) plus
-    // the pseudo-capability race certification close the run.
-    config.coordinator = "combining";
-    config.threads = 3;
-    config.pages = 2;
-    config.frames = 2;
-    config.ops_per_thread = 4;
-    config.batch_threshold = 2;
-    return config;
-  }
-  if (name == "shard") {
-    // Two threads through the sharded coordinator: 2 policy shards over 4
-    // pages and 2 frames, rebalance cadence 1 so every commit call crosses
-    // the exchange (and, mutated, the double-track plant). The trace hits
-    // page 0 while it is resident, then misses, so the hit is queued in
-    // the private ring when the miss-path commit replays it — the plant
-    // seed (last_committed) and the stale-home memo both get real values
-    // within four ops. Quiesce runs the cross-shard conservation oracle.
-    config.coordinator = "sharded";
-    config.policy = "lru";
-    config.policy_shards = 2;
-    config.rebalance_interval = 1;
-    config.threads = 2;
-    config.pages = 4;
-    config.frames = 2;
-    config.queue_size = 4;
-    config.ops_per_thread = 4;
-    config.trace = {0, 0, 1, 2};
-    return config;
-  }
   if (name == "backpressure") {
     // Three fetchers, two frames, every op a miss until the pages settle:
     // one fetcher can miss while the other two hold both frames pinned, or
@@ -291,8 +224,7 @@ StatusOr<ScenarioConfig> Scenario::Preset(const std::string& name) {
 }
 
 std::vector<std::string> Scenario::PresetNames() {
-  return {"eviction", "handoff", "race",        "serial",
-          "combine",  "shard",   "backpressure"};
+  return {"eviction", "handoff", "race", "serial", "backpressure"};
 }
 
 std::vector<PageId> Scenario::TraceFor(int thread) const {

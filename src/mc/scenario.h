@@ -37,7 +37,7 @@ namespace mc {
 
 struct ScenarioConfig {
   std::string name = "eviction";
-  /// "serialized", "shared-queue", "bp-wrapper", "combining", or "sharded".
+  /// "serialized", "shared-queue", or "bp-wrapper".
   std::string coordinator = "shared-queue";
   /// Any CreatePolicy name; only fingerprint-supporting policies (lru,
   /// fifo, clock, gclock) enable state dedup.
@@ -47,10 +47,6 @@ struct ScenarioConfig {
   int frames = 2;
   size_t queue_size = 4;
   size_t batch_threshold = 2;
-  /// Sharded coordinator only: policy shard count and rebalance cadence
-  /// (commit calls per shard between exchanges; 0 disables).
-  size_t policy_shards = 1;
-  size_t rebalance_interval = 0;
   int ops_per_thread = 3;
   /// BufferPoolConfig::eviction_retries: victim selections a miss tries
   /// before it falls back to the back-pressure wait.
@@ -65,15 +61,8 @@ struct ScenarioConfig {
   // Mutation knobs (reintroduce known-bad behaviour so the checker can
   // prove it finds them):
   bool mutate_skip_victim_revalidation = false;   // BufferPoolConfig knob
-  bool mutate_skip_commit_before_victim = false;  // CombiningCoordinator knob
+  bool mutate_skip_commit_before_victim = false;  // BpWrapperCoordinator knob
   bool mutate_commit_without_lock = false;        // SharedQueueCoordinator knob
-  // CombiningCoordinator knobs (the seeded handoff bugs):
-  bool mutate_combine_skip_release = false;       // slot never recycled
-  bool mutate_combine_drain_twice = false;        // slot applied twice
-  bool mutate_combine_clear_ready = false;        // batch dropped unapplied
-  // ShardedCoordinator knobs (the seeded cross-shard conservation bugs):
-  bool mutate_shard_double_track = false;    // page resident in two shards
-  bool mutate_shard_stale_eviction = false;  // delivery to a stale shard index
 
   uint64_t max_decisions = 10000;
 };
@@ -124,17 +113,6 @@ class Scenario {
   ///   "serial"   — 1 thread through the "bp-wrapper" coordinator with a
   ///                trace whose hit/miss pattern is sensitive to the
   ///                commit-before-victim rule; serial equivalence on.
-  ///   "combine"  — 3 threads (two publishers + a combiner) through
-  ///                CombiningCoordinator on an all-hit trace: every
-  ///                publication-slot transition (publish, claim, recycle,
-  ///                cooperative handoff) is exercised, and the
-  ///                conservation invariant is checked at quiesce.
-  ///   "shard"    — 2 threads through ShardedCoordinator (2 policy shards,
-  ///                rebalance cadence 1) on a hit-then-evict trace: ring
-  ///                commits, cross-shard victim borrowing, the rebalance
-  ///                exchange, and the quiesced cross-shard conservation
-  ///                oracle are all on the path. The stage for the
-  ///                shard_double_track / shard_stale_eviction mutations.
   ///   "backpressure" — 3 fetchers missing over 2 frames with no eviction
   ///                retries: a miss that finds both frames pinned or in
   ///                flight takes the wait-for-unpin path. No

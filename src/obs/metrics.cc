@@ -12,8 +12,9 @@ MetricsSnapshot MetricsSnapshot::DeltaFrom(
     const MetricsSnapshot& earlier) const {
   MetricsSnapshot delta;
   delta.wall_nanos = wall_nanos - earlier.wall_nanos;
+  delta.gauges = gauges;
   for (const auto& [name, v] : values) {
-    delta.values[name] = v - earlier.value(name);
+    delta.values[name] = gauges.count(name) != 0 ? v : v - earlier.value(name);
   }
   return delta;
 }
@@ -85,7 +86,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.Add(name, static_cast<double>(counter->Sum()));
   }
   for (const auto& [name, gauge] : gauges_) {
-    snap.Add(name, static_cast<double>(gauge->value()));
+    snap.AddGauge(name, static_cast<double>(gauge->value()));
   }
   for (const auto& [name, hist] : histograms_) {
     const Histogram h = hist->snapshot();

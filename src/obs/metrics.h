@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -125,18 +126,25 @@ class HistogramMetric {
 struct MetricsSnapshot {
   uint64_t wall_nanos = 0;  ///< NowNanos() at snapshot time (monotonic)
   std::map<std::string, double> values;
+  /// Names in `values` that are point-in-time levels rather than cumulative
+  /// counts; differencing keeps their later value.
+  std::set<std::string> gauges;
 
   /// Accumulates (duplicate names sum — see the source discussion above).
   void Add(const std::string& name, double v) { values[name] += v; }
+  /// Add() for a gauge: marks `name` so DeltaFrom does not difference it.
+  void AddGauge(const std::string& name, double v) {
+    Add(name, v);
+    gauges.insert(name);
+  }
 
   double value(const std::string& name, double def = 0.0) const {
     auto it = values.find(name);
     return it == values.end() ? def : it->second;
   }
 
-  /// Pointwise `this - earlier` (names missing from `earlier` count as 0).
-  /// Meaningful for counter-like series; gauges subtract too, so interpret
-  /// those as net change.
+  /// Pointwise `this - earlier` (names missing from `earlier` count as 0)
+  /// for counters; gauges keep this snapshot's value.
   MetricsSnapshot DeltaFrom(const MetricsSnapshot& earlier) const;
 
   /// One JSON object: {"t_ms":<monotonic ms>,"values":{"name":v,...}}.

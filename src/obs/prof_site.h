@@ -29,7 +29,7 @@ namespace obs {
 
 /// Index of a registered profiling site (see contention_profiler.h).
 /// Site ids double as accumulation keys: every lock bound to the same site
-/// aggregates into one row (all sharded-policy shard locks are one site).
+/// aggregates into one row (e.g. every partition's policy lock is one site).
 using ProfSiteId = uint32_t;
 inline constexpr ProfSiteId kInvalidProfSite = 0xFFFFFFFFu;
 

@@ -50,8 +50,9 @@ class StatsSampler {
   std::string ToJsonLines() const;
 
   /// Pairwise deltas of a cumulative series: result[i] = series[i+1] -
-  /// series[i] (empty for fewer than two samples). Counter deltas divided
-  /// by the snapshot's t_ms gap give rates.
+  /// series[i] (empty for fewer than two samples); gauges keep the value of
+  /// series[i+1]. Counter deltas divided by the snapshot's t_ms gap give
+  /// rates.
   static std::vector<MetricsSnapshot> Deltas(
       const std::vector<MetricsSnapshot>& series);
 

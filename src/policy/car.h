@@ -39,24 +39,6 @@ class CarPolicy : public ReplacementPolicy {
   }
   bool IsResident(PageId page) const override BPW_REQUIRES_SHARED(this);
   std::string name() const override { return "car"; }
-  size_t ghost_count() const override BPW_REQUIRES_SHARED(this) {
-    return b1_.size() + b2_.size();
-  }
-  bool IsGhostPage(PageId page) const override BPW_REQUIRES_SHARED(this) {
-    auto it = index_.find(page);
-    return it != index_.end() &&
-           (it->second->list == ListId::kB1 || it->second->list == ListId::kB2);
-  }
-
-  // Sharded rebalance: same adaptive-target exchange as ARC (see arc.h).
-  bool RebalanceSupported() const override { return true; }
-  uint64_t RebalanceExport() const override BPW_REQUIRES_SHARED(this) {
-    return p_;
-  }
-  void RebalanceApply(uint64_t signal) override BPW_REQUIRES(this) {
-    p_ = static_cast<size_t>(
-        std::min<uint64_t>(signal, num_frames()));
-  }
 
   // Introspection for tests.
   size_t t1_size() const { return t1_.size(); }

@@ -46,13 +46,6 @@ class ClockProPolicy : public ReplacementPolicy {
   }
   bool IsResident(PageId page) const override BPW_REQUIRES_SHARED(this);
   std::string name() const override { return "clockpro"; }
-  size_t ghost_count() const override BPW_REQUIRES_SHARED(this) {
-    return nonresident_count_;
-  }
-  bool IsGhostPage(PageId page) const override BPW_REQUIRES_SHARED(this) {
-    auto it = index_.find(page);
-    return it != index_.end() && it->second->frame == kInvalidFrameId;
-  }
 
   // Introspection for tests.
   size_t hot_count() const { return hot_count_; }

@@ -53,14 +53,6 @@ class LirsPolicy : public ReplacementPolicy {
   }
   bool IsResident(PageId page) const override BPW_REQUIRES_SHARED(this);
   std::string name() const override { return "lirs"; }
-  size_t ghost_count() const override BPW_REQUIRES_SHARED(this) {
-    return nr_.size();
-  }
-  bool IsGhostPage(PageId page) const override BPW_REQUIRES_SHARED(this) {
-    auto it = index_.find(page);
-    return it != index_.end() &&
-           it->second->state == State::kHirNonResident;
-  }
 
   // Introspection for tests.
   size_t lir_count() const { return num_lir_; }

@@ -48,12 +48,6 @@ class LruKPolicy : public ReplacementPolicy {
   }
   bool IsResident(PageId page) const override BPW_REQUIRES_SHARED(this);
   std::string name() const override { return "lru2"; }
-  size_t ghost_count() const override BPW_REQUIRES_SHARED(this) {
-    return ghost_index_.size();
-  }
-  bool IsGhostPage(PageId page) const override BPW_REQUIRES_SHARED(this) {
-    return ghost_index_.find(page) != ghost_index_.end();
-  }
 
   // Introspection for tests.
   size_t history_size() const { return ghost_index_.size(); }

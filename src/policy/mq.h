@@ -42,12 +42,6 @@ class MqPolicy : public ReplacementPolicy {
   }
   bool IsResident(PageId page) const override BPW_REQUIRES_SHARED(this);
   std::string name() const override { return "mq"; }
-  size_t ghost_count() const override BPW_REQUIRES_SHARED(this) {
-    return qout_.size();
-  }
-  bool IsGhostPage(PageId page) const override BPW_REQUIRES_SHARED(this) {
-    return qout_index_.find(page) != qout_index_.end();
-  }
 
   // Introspection for tests.
   size_t queue_size(size_t k) const { return queues_[k].size(); }

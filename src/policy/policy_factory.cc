@@ -1,7 +1,5 @@
 #include "policy/policy_factory.h"
 
-#include <cstdlib>
-
 #include "policy/arc.h"
 #include "policy/car.h"
 #include "policy/clock.h"
@@ -13,7 +11,6 @@
 #include "policy/lru_k.h"
 #include "policy/mq.h"
 #include "policy/seq.h"
-#include "policy/sharded_policy.h"
 #include "policy/two_q.h"
 
 namespace bpw {
@@ -22,29 +19,6 @@ StatusOr<std::unique_ptr<ReplacementPolicy>> CreatePolicy(
     const std::string& name, size_t num_frames) {
   if (num_frames == 0) {
     return Status::InvalidArgument("policy needs at least one frame");
-  }
-  // "sharded:<N>:<inner>" wraps any registered policy in the generic
-  // sharding adapter, e.g. "sharded:4:lru". Usable anywhere a policy name
-  // is: harness configs, bench specs, stress rows.
-  if (name.rfind("sharded:", 0) == 0) {
-    const size_t second_colon = name.find(':', 8);
-    if (second_colon == std::string::npos) {
-      return Status::InvalidArgument(
-          "sharded policy spec must be sharded:<shards>:<policy>, got: " +
-          name);
-    }
-    const std::string count_str = name.substr(8, second_colon - 8);
-    char* end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(count_str.c_str(), &end, 10);
-    if (count_str.empty() || end == nullptr || *end != '\0') {
-      return Status::InvalidArgument("bad shard count in: " + name);
-    }
-    const size_t num_shards = static_cast<size_t>(parsed);
-    auto sharded = ShardedPolicy::Create(name.substr(second_colon + 1),
-                                         num_shards, num_frames);
-    if (!sharded.ok()) return sharded.status();
-    return std::unique_ptr<ReplacementPolicy>(std::move(sharded).value());
   }
   if (name == "lru") {
     return std::unique_ptr<ReplacementPolicy>(new LruPolicy(num_frames));

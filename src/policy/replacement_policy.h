@@ -105,44 +105,6 @@ class BPW_CAPABILITY("policy") ReplacementPolicy {
   /// Short algorithm name ("lru", "2q", "lirs", ...).
   virtual std::string name() const = 0;
 
-  // --- Ghost (non-resident history) introspection --------------------------
-  // The sharded conservation oracle needs to ask any policy two questions:
-  // how many ghost entries it tracks, and whether a given page is one of
-  // them. Policies without ghost state inherit the zero defaults.
-
-  /// Number of ghost entries currently tracked (2Q's A1out, ARC/CAR's
-  /// B1+B2, LIRS's non-resident HIRs, MQ's Qout, LRU-2's retained history).
-  virtual size_t ghost_count() const BPW_REQUIRES_SHARED(this) { return 0; }
-
-  /// Whether `page` is tracked in ghost (non-resident) history.
-  virtual bool IsGhostPage(PageId page) const BPW_REQUIRES_SHARED(this) {
-    (void)page;
-    return false;
-  }
-
-  // --- Cross-shard rebalance hooks (sharded coordinator) -------------------
-  // Policies with *global* adaptive state (ARC/CAR's target p) lose their
-  // adaptation signal when sharded: each shard only sees its slice of the
-  // traffic. The sharded coordinator periodically lets every shard publish
-  // a scalar summary of its adaptive state and blend in its peers' — riding
-  // the committed batch stream, never the hit path. Policies without such
-  // state inherit the unsupported defaults and are never called.
-
-  /// Whether this policy carries adaptive state worth exchanging.
-  virtual bool RebalanceSupported() const { return false; }
-
-  /// Exports the adaptive scalar (ARC/CAR: the target size p of T1).
-  virtual uint64_t RebalanceExport() const BPW_REQUIRES_SHARED(this) {
-    return 0;
-  }
-
-  /// Applies a blended peer signal. Implementations must clamp to their own
-  /// valid range; the coordinator passes the arithmetic mean of all shards'
-  /// last exports.
-  virtual void RebalanceApply(uint64_t signal) BPW_REQUIRES(this) {
-    (void)signal;
-  }
-
   size_t num_frames() const { return num_frames_; }
 
   /// Certifies to the thread-safety analysis that the caller has exclusive

@@ -41,12 +41,6 @@ class TwoQPolicy : public ReplacementPolicy {
   }
   bool IsResident(PageId page) const override BPW_REQUIRES_SHARED(this);
   std::string name() const override { return "2q"; }
-  size_t ghost_count() const override BPW_REQUIRES_SHARED(this) {
-    return a1out_.size();
-  }
-  bool IsGhostPage(PageId page) const override BPW_REQUIRES_SHARED(this) {
-    return InA1out(page);
-  }
 
   // Introspection for tests.
   size_t a1in_size() const { return a1in_.size(); }

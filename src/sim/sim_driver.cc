@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "policy/policy_factory.h"
-#include "policy/sharded_policy.h"
 #include "util/random.h"
 
 namespace bpw {
@@ -82,8 +81,7 @@ class SimLock {
 };
 
 // --------------------------------------------------------------- Simulation
-enum class Mode { kClockLockFree, kSerialized, kBpWrapper, kCombining,
-                  kSharded };
+enum class Mode { kClockLockFree, kSerialized, kBpWrapper };
 
 struct QueueEntry {
   PageId page;
@@ -94,14 +92,6 @@ struct Proc {
   uint64_t now = 0;
   std::unique_ptr<TraceGenerator> trace;
   std::vector<QueueEntry> queue;  // BP-Wrapper private FIFO
-  // Sharded mode: one private ring per policy shard (drop-oldest overflow).
-  std::vector<std::vector<QueueEntry>> shard_queues;
-  // Flat-combining publication slot ("combining" mode only): a published
-  // batch waits here until this processor or a peer combiner drains it.
-  std::vector<QueueEntry> pub;
-  bool pub_ready = false;
-  uint64_t pub_time = 0;          // when the publication became visible
-  uint64_t pub_blocked_until = 0;  // recycle completion after a peer drain
   Random rng{0};
 
   bool in_tx = false;
@@ -173,61 +163,9 @@ class Simulation {
   /// so the metrics delta covers the measurement window only.
   void CommitQueue(Proc& proc, bool measuring);
 
-  /// One batch of entries through the policy with the §IV-B tag check
-  /// (shared by CommitQueue and the combining drains).
-  void CommitEntries(const std::vector<QueueEntry>& entries, bool measuring);
-
-  /// Lock occupancy of one flat-combining acquisition: the combiner's own
-  /// batch plus `peers` adopted slots holding `peer_entries` entries. Each
-  /// adopted slot costs one coherence-scaled line claim; with prefetch the
-  /// per-entry warm-up vanishes (own entries via §III-B before the lock,
-  /// peer entries via the slot-directed prefetch at claim time).
-  uint64_t CombineOccupancy(size_t own_entries, size_t peers,
-                            size_t peer_entries, uint64_t extra = 0) const {
-    const size_t n = own_entries + peer_entries;
-    uint64_t occupancy = Coh(costs_.lock_grab) + extra +
-                         static_cast<uint64_t>(n) * costs_.policy_op +
-                         static_cast<uint64_t>(peers) * Coh(costs_.slot_claim);
-    if (!prefetch_) {
-      occupancy += Coh(costs_.warmup_acq) +
-                   static_cast<uint64_t>(n) * Coh(costs_.warmup_entry);
-    }
-    return occupancy;
-  }
-
-  /// The peers whose publications are visible to a combiner acquiring at
-  /// time `t` (their publish happened before the acquisition).
-  size_t ReadyPeers(const Proc& combiner, uint64_t t,
-                    size_t* peer_entries) const {
-    size_t peers = 0;
-    *peer_entries = 0;
-    for (const Proc& peer : procs_) {
-      if (&peer == &combiner || !peer.pub_ready || peer.pub_time > t) continue;
-      ++peers;
-      *peer_entries += peer.pub.size();
-    }
-    return peers;
-  }
-
-  /// The locked apply phase of one combining acquisition entered at `t`:
-  /// drain own publication + own queue + every visible peer slot. The
-  /// post-commit phase (slot recycling) books its time AFTER `release` —
-  /// outside the lock occupancy — which is the early-release effect.
-  void CommitCombine(Proc& proc, uint64_t t, uint64_t release, bool measuring);
-
   void StepAccess(Proc& proc);
   void HandleHit(Proc& proc, PageId page, FrameId frame);
   void HandleMiss(Proc& proc, PageId page, bool is_write);
-
-  /// The sharded miss path: commit the home shard's ring and evict/register
-  /// under that shard's own lock (peers' locks stay untouched unless the
-  /// victim search borrows a frame from another shard).
-  void HandleMissSharded(Proc& proc, PageId page, bool is_write);
-
-  /// Commits one shard ring (arrival order, §IV-B tag check) and advances
-  /// that shard's rebalance cadence — the sim twin of
-  /// ShardedCoordinator::CommitShardLocked.
-  void CommitShard(Proc& proc, size_t shard, bool measuring);
 
   DriverConfig config_;
   SimCosts costs_;
@@ -259,34 +197,19 @@ class Simulation {
   uint64_t writebacks_ = 0;
   uint64_t stale_commits_ = 0;
   // Measured-window batch-commit statistics, mirroring the names the host
-  // CombiningCoordinator registers with the metrics registry so BENCH json
+  // BpWrapperCoordinator registers with the metrics registry so BENCH json
   // carries one counter vocabulary across both execution modes.
   uint64_t commit_batches_ = 0;
   uint64_t committed_entries_ = 0;
   uint64_t lock_fallbacks_ = 0;
-  // Combining-only counters, mirroring CombiningCoordinator's metrics.
-  uint64_t published_batches_ = 0;
-  uint64_t combined_batches_ = 0;
-  // Sharded-only state, mirroring ShardedCoordinator. The adapter pointer
-  // aliases policy_ (owned there); each shard gets its own SimLock so
-  // commits for different shards never contend.
-  ShardedPolicy* sharded_ = nullptr;
-  size_t num_shards_ = 1;
-  size_t rebalance_interval_ = 16;
-  std::vector<std::unique_ptr<SimLock>> shard_locks_;
-  std::vector<uint64_t> shard_commit_counts_;
-  uint64_t shard_rebalances_ = 0;
-  uint64_t hit_drops_ = 0;
-  uint64_t borrow_evictions_ = 0;
 };
 
-void Simulation::CommitEntries(const std::vector<QueueEntry>& entries,
-                               bool measuring) {
+void Simulation::CommitQueue(Proc& proc, bool measuring) {
   // The simulator models contention in virtual time on one real thread, so
   // exclusive access to the policy always holds.
   policy_->AssertExclusiveAccess();
   uint64_t stale = 0;
-  for (const QueueEntry& entry : entries) {
+  for (const QueueEntry& entry : proc.queue) {
     if (entry.frame < frame_page_.size() &&
         frame_page_[entry.frame] == entry.page) {
       policy_->OnHit(entry.page, entry.frame);
@@ -294,67 +217,12 @@ void Simulation::CommitEntries(const std::vector<QueueEntry>& entries,
       ++stale;
     }
   }
-  if (measuring && !entries.empty()) {
+  if (measuring && !proc.queue.empty()) {
     ++commit_batches_;
-    committed_entries_ += entries.size() - stale;
+    committed_entries_ += proc.queue.size() - stale;
     stale_commits_ += stale;
   }
-}
-
-void Simulation::CommitQueue(Proc& proc, bool measuring) {
-  CommitEntries(proc.queue, measuring);
   proc.queue.clear();
-}
-
-void Simulation::CommitShard(Proc& proc, size_t shard, bool measuring) {
-  CommitEntries(proc.shard_queues[shard], measuring);
-  proc.shard_queues[shard].clear();
-  // Rebalance cadence (per commit call, as in the host coordinator).
-  if (rebalance_interval_ == 0 || num_shards_ <= 1) return;
-  if (++shard_commit_counts_[shard] < rebalance_interval_) return;
-  shard_commit_counts_[shard] = 0;
-  if (!sharded_->RebalanceSupported()) return;
-  // Single real thread: the signal-board exchange collapses to reading
-  // every shard's export directly and applying the mean under this
-  // shard's lock — same blended value the host protocol converges to.
-  uint64_t sum = 0;
-  for (size_t i = 0; i < num_shards_; ++i) {
-    ReplacementPolicy* peer = sharded_->shard(i);
-    peer->AssertExclusiveAccess();  // single real thread; see CommitQueue
-    sum += peer->RebalanceExport();
-  }
-  ReplacementPolicy* own = sharded_->shard(shard);
-  own->AssertExclusiveAccess();  // single real thread; see CommitQueue
-  own->RebalanceApply(sum / num_shards_);
-  if (measuring) ++shard_rebalances_;
-}
-
-void Simulation::CommitCombine(Proc& proc, uint64_t t, uint64_t release,
-                               bool measuring) {
-  // Own publication first (oldest history), then the queue remainder —
-  // per-processor FIFO order, exactly as the host coordinator drains.
-  uint64_t post_commit = 0;
-  if (proc.pub_ready) {
-    CommitEntries(proc.pub, measuring);
-    proc.pub.clear();
-    proc.pub_ready = false;
-    post_commit += costs_.recycle;
-  }
-  CommitQueue(proc, measuring);
-  // Adopt every peer batch that was visible at acquisition time. The
-  // owner's slot stays blocked until the post-release recycle store lands.
-  for (Proc& peer : procs_) {
-    if (&peer == &proc || !peer.pub_ready || peer.pub_time > t) continue;
-    CommitEntries(peer.pub, measuring);
-    peer.pub.clear();
-    peer.pub_ready = false;
-    post_commit += costs_.recycle;
-    peer.pub_blocked_until = release + post_commit;
-    if (measuring) ++combined_batches_;
-  }
-  // Early release: the recycle stores run on this processor after the lock
-  // is already free, so they lengthen the combiner's day, not the lock's.
-  proc.now += post_commit;
 }
 
 void Simulation::HandleHit(Proc& proc, PageId page, FrameId frame) {
@@ -391,157 +259,23 @@ void Simulation::HandleHit(Proc& proc, PageId page, FrameId frame) {
       CommitQueue(proc, measuring);
       return;
     }
-    case Mode::kSharded: {
-      // The generalized-pgClock hit path: a private ring append plus the
-      // seqlock stamp publish. No threshold check, no TryLock, no
-      // fallback — a hit never touches any lock, for any policy.
-      proc.now += costs_.record + costs_.stamp;
-      auto& queue = proc.shard_queues[ShardedPolicy::ShardOf(page,
-                                                             num_shards_)];
-      if (queue.size() >= queue_size_) {
-        queue.erase(queue.begin());  // drop-oldest: freshest history wins
-        if (Measuring(proc.now)) ++hit_drops_;
-      }
-      queue.push_back(QueueEntry{page, frame});
-      return;
-    }
-    case Mode::kCombining: {
-      proc.now += costs_.record;
-      proc.queue.push_back(QueueEntry{page, frame});
-      if (proc.queue.size() < batch_threshold_) return;
-      // Publish the batch so ANY lock holder can retire it. The slot may
-      // still be blocked by a peer's in-flight post-release recycle.
-      if (!proc.pub_ready && proc.now >= proc.pub_blocked_until) {
-        std::swap(proc.pub, proc.queue);
-        proc.queue.clear();
-        proc.pub_ready = true;
-        proc.now += costs_.publish;
-        proc.pub_time = proc.now;
-        if (Measuring(proc.now)) ++published_batches_;
-      }
-      proc.now += costs_.trylock;
-      const uint64_t t = proc.now;
-      bool measuring = Measuring(t);
-      size_t peer_entries = 0;
-      const size_t peers = ReadyPeers(proc, t, &peer_entries);
-      const size_t own_entries =
-          (proc.pub_ready ? proc.pub.size() : 0) + proc.queue.size();
-      const uint64_t occupancy =
-          CombineOccupancy(own_entries, peers, peer_entries);
-      uint64_t release;
-      if (lock_.TryAcquire(t, occupancy, measuring, &release)) {
-        proc.now = release;
-        CommitCombine(proc, t, release, measuring);
-        return;
-      }
-      if (proc.pub_ready) {
-        // Cooperative handoff: the published batch is the current holder's
-        // problem now — one bounded poll of the slot, never a block.
-        proc.now += costs_.handoff_spin;
-        return;
-      }
-      if (proc.queue.size() < queue_size_) return;  // keep recording
-      // Queue full and the slot still blocked: the blocking-Lock fallback.
-      measuring = Measuring(proc.now);
-      if (measuring) ++lock_fallbacks_;
-      const uint64_t enter = proc.now;
-      proc.now = lock_.AcquireBlocking(proc.now, occupancy, measuring);
-      CommitCombine(proc, enter, proc.now, measuring);
-      return;
-    }
   }
-}
-
-void Simulation::HandleMissSharded(Proc& proc, PageId page, bool is_write) {
-  policy_->AssertExclusiveAccess();  // single real thread; see CommitQueue
-  const size_t home = ShardedPolicy::ShardOf(page, num_shards_);
-  FrameId frame;
-  bool write_back = false;
-  {
-    // Phase 1: under the HOME shard's lock only — commit that shard's
-    // ring, then pick a victim (or take a free frame).
-    const bool need_evict = free_frames_.empty();
-    const uint64_t occupancy =
-        Occupancy(proc.shard_queues[home].size(),
-                  need_evict ? costs_.victim_search : 0);
-    const bool measuring = Measuring(proc.now);
-    proc.now =
-        shard_locks_[home]->AcquireBlocking(proc.now, occupancy, measuring);
-    CommitShard(proc, home, measuring);
-    if (need_evict) {
-      auto victim = policy_->ChooseVictim([](FrameId) { return true; }, page);
-      if (!victim.ok()) return;  // cannot happen: no pins in the simulator
-      frame = victim->frame;
-      // A victim from a non-home shard means the home shard had nothing
-      // evictable and the search borrowed: the borrowed shard's lock was
-      // taken for its own victim scan.
-      const size_t victim_home =
-          ShardedPolicy::ShardOf(victim->page, num_shards_);
-      if (victim_home != home) {
-        proc.now = shard_locks_[victim_home]->AcquireBlocking(
-            proc.now, Occupancy(0, costs_.victim_search), measuring);
-        if (measuring) ++borrow_evictions_;
-      }
-      residency_.erase(victim->page);
-      frame_page_[frame] = kInvalidPageId;
-      write_back = frame_dirty_[frame];
-      frame_dirty_[frame] = false;
-      ++evictions_;
-    } else {
-      frame = free_frames_.back();
-      free_frames_.pop_back();
-    }
-  }
-  // Outside every lock: write back the dirty victim, then read the page.
-  if (write_back) {
-    proc.now += costs_.io_write;
-    ++writebacks_;
-  }
-  proc.now += costs_.io_read;
-
-  // Phase 2: under the home shard's lock — register the new page.
-  proc.now = shard_locks_[home]->AcquireBlocking(proc.now, Occupancy(1),
-                                                 Measuring(proc.now));
-  policy_->OnMiss(page, frame);
-  frame_page_[frame] = page;
-  frame_dirty_[frame] = is_write;
-  residency_[page] = Resident{frame, proc.now};
 }
 
 void Simulation::HandleMiss(Proc& proc, PageId page, bool is_write) {
-  if (mode_ == Mode::kSharded) {
-    HandleMissSharded(proc, page, is_write);
-    return;
-  }
   policy_->AssertExclusiveAccess();  // single real thread; see CommitQueue
   // Phase 1: under the lock — commit any queued accesses, then pick a
   // victim (or take a free frame).
   FrameId frame;
   bool write_back = false;
   {
-    size_t queued = 0;
-    if (mode_ == Mode::kBpWrapper) queued = proc.queue.size();
-    if (mode_ == Mode::kCombining) {
-      queued = proc.queue.size() + (proc.pub_ready ? proc.pub.size() : 0);
-    }
+    const size_t queued = mode_ == Mode::kBpWrapper ? proc.queue.size() : 0;
     const bool need_evict = free_frames_.empty();
     const uint64_t occupancy =
         Occupancy(queued, need_evict ? costs_.victim_search : 0);
     const bool measuring = Measuring(proc.now);
     proc.now = lock_.AcquireBlocking(proc.now, occupancy, measuring);
     if (mode_ == Mode::kBpWrapper) CommitQueue(proc, measuring);
-    if (mode_ == Mode::kCombining) {
-      // Fresh history before the victim decision: own publication, then
-      // the queue remainder (the host DrainOwnLocked order). Peers are not
-      // adopted on the miss path, matching the host coordinator.
-      if (proc.pub_ready) {
-        CommitEntries(proc.pub, measuring);
-        proc.pub.clear();
-        proc.pub_ready = false;
-        proc.pub_blocked_until = proc.now + costs_.recycle;
-      }
-      CommitQueue(proc, measuring);
-    }
     if (need_evict) {
       auto victim = policy_->ChooseVictim([](FrameId) { return true; }, page);
       if (!victim.ok()) return;  // cannot happen: no pins in the simulator
@@ -630,10 +364,6 @@ StatusOr<DriverResult> Simulation::Run() {
     mode_ = Mode::kSerialized;
   } else if (config_.system.coordinator == "bp-wrapper") {
     mode_ = Mode::kBpWrapper;
-  } else if (config_.system.coordinator == "combining") {
-    mode_ = Mode::kCombining;
-  } else if (config_.system.coordinator == "sharded") {
-    mode_ = Mode::kSharded;
   } else {
     return Status::InvalidArgument("unknown coordinator: " +
                                    config_.system.coordinator);
@@ -653,24 +383,9 @@ StatusOr<DriverResult> Simulation::Run() {
   const size_t num_frames =
       config_.num_frames != 0 ? config_.num_frames : footprint;
 
-  if (mode_ == Mode::kSharded) {
-    num_shards_ = std::max<size_t>(1, config_.system.policy_shards);
-    rebalance_interval_ = config_.system.rebalance_interval;
-    auto sharded =
-        ShardedPolicy::Create(config_.system.policy, num_shards_, num_frames);
-    if (!sharded.ok()) return sharded.status();
-    sharded_ = sharded.value().get();
-    policy_ = std::move(sharded).value();
-    shard_locks_.reserve(num_shards_);
-    shard_commit_counts_.assign(num_shards_, 0);
-    for (size_t i = 0; i < num_shards_; ++i) {
-      shard_locks_.push_back(std::make_unique<SimLock>(costs_));
-    }
-  } else {
-    auto policy = CreatePolicy(config_.system.policy, num_frames);
-    if (!policy.ok()) return policy.status();
-    policy_ = std::move(policy).value();
-  }
+  auto policy = CreatePolicy(config_.system.policy, num_frames);
+  if (!policy.ok()) return policy.status();
+  policy_ = std::move(policy).value();
 
   frame_page_.assign(num_frames, kInvalidPageId);
   frame_dirty_.assign(num_frames, false);
@@ -701,7 +416,6 @@ StatusOr<DriverResult> Simulation::Run() {
   for (uint32_t i = 0; i < config_.num_threads; ++i) {
     procs_[i].trace = CreateTrace(config_.workload, i);
     procs_[i].rng.Reseed(config_.workload.seed * 977 + i);
-    if (mode_ == Mode::kSharded) procs_[i].shard_queues.resize(num_shards_);
   }
 
   std::priority_queue<uint32_t, std::vector<uint32_t>, ProcOrder> heap(
@@ -746,13 +460,7 @@ StatusOr<DriverResult> Simulation::Run() {
                          ? 0.0
                          : static_cast<double>(result.hits) /
                                static_cast<double>(result.accesses);
-  if (mode_ == Mode::kSharded) {
-    // The single global lock is never touched in sharded mode; the
-    // system's lock behaviour is the sum over the per-shard locks.
-    for (const auto& lock : shard_locks_) result.lock += lock->stats();
-  } else {
-    result.lock = lock_.stats();
-  }
+  result.lock = lock_.stats();
   if (result.accesses > 0) {
     result.contentions_per_million =
         static_cast<double>(result.lock.contentions) * 1e6 /
@@ -775,23 +483,6 @@ StatusOr<DriverResult> Simulation::Run() {
                      static_cast<double>(stale_commits_));
   result.metrics.Add("coord.lock_fallbacks",
                      static_cast<double>(lock_fallbacks_));
-  if (mode_ == Mode::kCombining) {
-    // Only the combining mode has these, so existing baselines' counter
-    // sets are unchanged for every other coordinator.
-    result.metrics.Add("coord.published_batches",
-                       static_cast<double>(published_batches_));
-    result.metrics.Add("coord.combined_batches",
-                       static_cast<double>(combined_batches_));
-  }
-  if (mode_ == Mode::kSharded) {
-    // Only the sharded mode has these (same baseline-stability reasoning
-    // as the combining block above).
-    result.metrics.Add("coord.shard_rebalances",
-                       static_cast<double>(shard_rebalances_));
-    result.metrics.Add("coord.hit_drops", static_cast<double>(hit_drops_));
-    result.metrics.Add("coord.borrow_evictions",
-                       static_cast<double>(borrow_evictions_));
-  }
   result.metrics.Add("buffer.hits", static_cast<double>(result.hits));
   result.metrics.Add("buffer.misses", static_cast<double>(result.misses));
   result.metrics.Add("buffer.evictions", static_cast<double>(evictions_));

@@ -18,11 +18,6 @@
 //    queues, TryLock at the batch threshold on every subsequent access,
 //    blocking Lock only when the queue fills, commit-before-miss, and
 //    §IV-B tag re-validation at commit.
-//  - The flat-combining extension ("combining" / pgBat++) is executed the
-//    same way: batches publish into per-processor slots, a TryLock winner
-//    drains every visible slot in one lock-holding period, losers hand
-//    off cooperatively instead of retrying, and the slot recycling books
-//    its time after the lock is already free (early release).
 //  - The lock is a FIFO-granted, work-conserving resource in simulated
 //    time (waiters spin/wake in parallel, so the lock never idles while
 //    requests are queued — the SMP behaviour). A blocking request that
@@ -69,19 +64,6 @@ struct SimCosts {
   uint64_t victim_search = 500;  ///< victim selection under the lock
   uint64_t io_read = 0;          ///< simulated disk read on miss
   uint64_t io_write = 0;         ///< simulated write-back of a dirty page
-  // --- Flat-combining costs (used only by the "combining" coordinator;
-  // --- existing modes' timing math is untouched by these).
-  uint64_t publish = 40;      ///< copying the queue into the publication
-                              ///< slot (cache-local store burst)
-  uint64_t slot_claim = 80;   ///< [coh] combiner claiming + reading one
-                              ///< peer's publication slot line
-  uint64_t recycle = 30;      ///< post-release slot recycle store (runs
-                              ///< OUTSIDE the lock: early release)
-  uint64_t handoff_spin = 120;  ///< bounded cooperative-handoff poll after
-                                ///< a failed TryLock with a batch published
-  // --- Sharded costs (used only by the "sharded" coordinator).
-  uint64_t stamp = 15;  ///< seqlock hit-stamp publish (CAS + two stores),
-                        ///< the sharded hit path's only shared-state touch
   // --- NUMA cost mode. With numa_nodes > 1, the [coh] remote-cache
   // fraction splits into same-node transfers (cost x1) and cross-node
   // transfers (cost x numa_remote_mult): processors are distributed over

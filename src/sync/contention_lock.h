@@ -106,8 +106,8 @@ class BPW_CAPABILITY("mutex") ContentionLock {
 
   /// Attributes this lock's acquisitions to a contention-profiler site
   /// (obs/contention_profiler.h): pass a BPW_PROF_SITE(...) root-path id.
-  /// Several locks may share one site — all sharded-policy shard locks bind
-  /// the same site and aggregate into one report row. Call at setup time,
+  /// Several locks may share one site — every partition's policy lock binds
+  /// the same site and aggregates into one report row. Call at setup time,
   /// before the lock sees concurrent traffic; recording additionally requires
   /// instrumentation != kNone (kNone keeps its zero-accounting fast path).
   /// Recording compiles out under -DBPW_PROF=0 (the binding itself is kept

@@ -100,11 +100,11 @@
 //                            standalone statement, on this line and the
 //                            next) is deliberate — say why.
 //   BPW_LOCK_CLASS(name)     merge this lock field into the named ordering
-//                            class (all pgShard shard locks are one "shard"
+//                            class (e.g. per-shard locks as one "shard"
 //                            class: instances are interchangeable for
 //                            deadlock purposes).
 //   BPW_LOCK_LEAF            no blocking acquisition is permitted while a
-//                            lock of this class is held. Encodes pgShard's
+//                            lock of this class is held. Encodes rules like
 //                            "never two shard locks" as a checkable
 //                            zero-out-degree rule.
 //

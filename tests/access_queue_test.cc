@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "core/access_queue.h"
-#include "core/combining_coordinator.h"
+#include "core/bp_wrapper.h"
 #include "policy/policy_factory.h"
 
 namespace bpw {
@@ -45,23 +45,16 @@ TEST(AccessQueueTest, ZeroCapacityIsClampedToOne) {
   EXPECT_TRUE(queue.full());
 }
 
-// The plain BP-Wrapper protocol: no publication slots.
-CombiningCoordinator::Options PlainOptions() {
-  CombiningCoordinator::Options options;
-  options.max_slots = 0;
-  return options;
-}
-
-std::unique_ptr<CombiningCoordinator> MakeCoordinator(
-    CombiningCoordinator::Options options, size_t frames) {
+std::unique_ptr<BpWrapperCoordinator> MakeCoordinator(
+    BpWrapperCoordinator::Options options, size_t frames) {
   auto policy = CreatePolicy("lru", frames);
   EXPECT_TRUE(policy.ok());
-  return std::make_unique<CombiningCoordinator>(std::move(policy).value(),
+  return std::make_unique<BpWrapperCoordinator>(std::move(policy).value(),
                                                 options);
 }
 
 // Makes pages 0..n-1 resident in frames 0..n-1 through the coordinator.
-void Populate(CombiningCoordinator& coord, Coordinator::ThreadSlot* slot,
+void Populate(BpWrapperCoordinator& coord, Coordinator::ThreadSlot* slot,
               size_t n) {
   for (size_t i = 0; i < n; ++i) {
     coord.CompleteMiss(slot, /*page=*/i, /*frame=*/i);
@@ -69,7 +62,7 @@ void Populate(CombiningCoordinator& coord, Coordinator::ThreadSlot* slot,
 }
 
 TEST(AccessQueueTest, FlushSlotCommitsPartialQueue) {
-  CombiningCoordinator::Options options = PlainOptions();
+  BpWrapperCoordinator::Options options;
   options.queue_size = 8;
   options.batch_threshold = 8;  // no auto-commit below 8 entries
   auto coord = MakeCoordinator(options, 8);
@@ -92,7 +85,7 @@ TEST(AccessQueueTest, FlushSlotCommitsPartialQueue) {
 }
 
 TEST(AccessQueueTest, FlushSlotOnEmptyQueueNeverTouchesTheLock) {
-  CombiningCoordinator::Options options = PlainOptions();
+  BpWrapperCoordinator::Options options;
   options.instrumentation = LockInstrumentation::kCounts;
   auto coord = MakeCoordinator(options, 4);
   auto slot = coord->RegisterThread();
@@ -111,7 +104,7 @@ TEST(AccessQueueTest, FullQueueFallsBackToBlockingLock) {
   // continues, and on the queue-full hit the coordinator must block —
   // which is exactly the event the helper is waiting for.
   constexpr size_t kQueue = 4;
-  CombiningCoordinator::Options options = PlainOptions();
+  BpWrapperCoordinator::Options options;
   options.queue_size = kQueue;
   options.batch_threshold = 2;
   auto coord = MakeCoordinator(options, 8);

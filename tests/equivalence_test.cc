@@ -13,7 +13,6 @@
 
 #include "buffer/buffer_pool.h"
 #include "core/coordinator_factory.h"
-#include "core/sharded_coordinator.h"
 #include "policy/policy_factory.h"
 #include "util/random.h"
 #include "workload/trace_generator.h"
@@ -23,16 +22,10 @@ namespace {
 
 constexpr size_t kPageSize = 512;
 
-/// A ring large enough that no test stream can overflow it: overflow drops
-/// history, and a dropped entry would (legitimately) break bit-identity.
-/// hit_drops == 0 is asserted as the certificate.
-constexpr size_t kNoDropQueue = 32768;
-
 struct RunResult {
   std::vector<bool> hit_sequence;
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t hit_drops = 0;  // sharded only; 0 for every other coordinator
 };
 
 RunResult RunStream(const SystemConfig& system, const WorkloadSpec& workload,
@@ -61,10 +54,6 @@ RunResult RunStream(const SystemConfig& system, const WorkloadSpec& workload,
   result.hits = session->stats().hits;
   result.misses = session->stats().misses;
   EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
-  if (const auto* sharded =
-          dynamic_cast<const ShardedCoordinator*>(&pool.coordinator())) {
-    result.hit_drops = sharded->hit_drops();
-  }
   return result;
 }
 
@@ -96,27 +85,10 @@ TEST_P(EquivalenceTest, BatchingPreservesHitMissSequence) {
   SystemConfig batched_pre = batched;
   batched_pre.prefetch = true;
 
-  SystemConfig combining = batched;
-  combining.coordinator = "combining";
-  SystemConfig combining_pre = combining;
-  combining_pre.prefetch = true;
-
-  // Sharded at shard count 1: a faithful pass-through of the policy, so it
-  // must be bit-identical too — with the lock-free hit path active.
-  SystemConfig sharded;
-  sharded.policy = policy;
-  sharded.coordinator = "sharded";
-  sharded.policy_shards = 1;
-  sharded.queue_size = kNoDropQueue;
-
   const RunResult base = RunStream(serialized, workload, kFrames, kAccesses);
   const RunResult bat = RunStream(batched, workload, kFrames, kAccesses);
   const RunResult batpre =
       RunStream(batched_pre, workload, kFrames, kAccesses);
-  const RunResult comb = RunStream(combining, workload, kFrames, kAccesses);
-  const RunResult combpre =
-      RunStream(combining_pre, workload, kFrames, kAccesses);
-  const RunResult shard = RunStream(sharded, workload, kFrames, kAccesses);
 
   EXPECT_GT(base.misses, 0u) << "test needs real evictions to be meaningful";
   // No hits-assert: some policies legitimately score zero hits on the pure
@@ -127,22 +99,8 @@ TEST_P(EquivalenceTest, BatchingPreservesHitMissSequence) {
       << "batching changed replacement behaviour";
   EXPECT_EQ(base.hit_sequence, batpre.hit_sequence)
       << "prefetching changed replacement behaviour";
-  // Single-threaded, the flat-combining path is publish-then-self-combine
-  // at the same thresholds, so it must commit the same entries at the same
-  // points and be indistinguishable from plain batching.
-  EXPECT_EQ(base.hit_sequence, comb.hit_sequence)
-      << "flat combining changed replacement behaviour";
-  EXPECT_EQ(base.hit_sequence, combpre.hit_sequence)
-      << "flat combining with prefetch changed replacement behaviour";
   EXPECT_EQ(base.hits, bat.hits);
   EXPECT_EQ(base.misses, bat.misses);
-  EXPECT_EQ(base.hits, comb.hits);
-  EXPECT_EQ(base.misses, comb.misses);
-  EXPECT_EQ(shard.hit_drops, 0u) << "ring overflowed; enlarge kNoDropQueue";
-  EXPECT_EQ(base.hit_sequence, shard.hit_sequence)
-      << "sharding at shard count 1 changed replacement behaviour";
-  EXPECT_EQ(base.hits, shard.hits);
-  EXPECT_EQ(base.misses, shard.misses);
 }
 
 TEST_P(EquivalenceTest, SmallQueueSizesAlsoEquivalent) {
@@ -157,17 +115,15 @@ TEST_P(EquivalenceTest, SmallQueueSizesAlsoEquivalent) {
   serialized.coordinator = "serialized";
   const RunResult base = RunStream(serialized, workload, 64, 8000);
 
-  for (const char* coordinator : {"bp-wrapper", "combining"}) {
-    for (size_t queue_size : {1, 2, 7}) {
-      SystemConfig batched;
-      batched.policy = policy;
-      batched.coordinator = coordinator;
-      batched.queue_size = queue_size;
-      batched.batch_threshold = std::max<size_t>(1, queue_size / 2);
-      const RunResult bat = RunStream(batched, workload, 64, 8000);
-      EXPECT_EQ(base.hit_sequence, bat.hit_sequence)
-          << coordinator << " queue size " << queue_size;
-    }
+  for (size_t queue_size : {1, 2, 7}) {
+    SystemConfig batched;
+    batched.policy = policy;
+    batched.coordinator = "bp-wrapper";
+    batched.queue_size = queue_size;
+    batched.batch_threshold = std::max<size_t>(1, queue_size / 2);
+    const RunResult bat = RunStream(batched, workload, 64, 8000);
+    EXPECT_EQ(base.hit_sequence, bat.hit_sequence)
+        << "queue size " << queue_size;
   }
 }
 
@@ -183,7 +139,6 @@ struct RandomRunResult {
   std::vector<bool> hit_sequence;
   std::vector<bool> drop_outcomes;      // DropPage returned OK
   std::vector<PageId> drain_fingerprint;  // victim order of the final state
-  uint64_t hit_drops = 0;  // sharded only
 };
 
 void RunRandomTraceInto(RandomRunResult* result, const SystemConfig& system,
@@ -216,10 +171,6 @@ void RunRandomTraceInto(RandomRunResult* result, const SystemConfig& system,
   }
   pool.FlushSession(*session);
   EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
-  if (const auto* sharded =
-          dynamic_cast<const ShardedCoordinator*>(&pool.coordinator())) {
-    result->hit_drops = sharded->hit_drops();
-  }
 
   // Drain the policy (quiesced; this intentionally desynchronizes it from
   // the pool, so it is the last thing done with either).
@@ -259,26 +210,12 @@ TEST_P(EquivalenceTest, RandomTraceWithDropsLeavesIdenticalPolicyState) {
   shared_queue.coordinator = "shared-queue";
   shared_queue.prefetch = false;  // shared-queue has no prefetch stage
 
-  SystemConfig combining = batched;
-  combining.coordinator = "combining";
-
-  SystemConfig sharded;
-  sharded.policy = policy;
-  sharded.coordinator = "sharded";
-  sharded.policy_shards = 1;
-  sharded.queue_size = kNoDropQueue;
-  sharded.prefetch = true;
-
   RandomRunResult base;
   RunRandomTraceInto(&base, serialized, seed, kPages, kFrames, kAccesses);
   RandomRunResult bat;
   RunRandomTraceInto(&bat, batched, seed, kPages, kFrames, kAccesses);
   RandomRunResult shq;
   RunRandomTraceInto(&shq, shared_queue, seed, kPages, kFrames, kAccesses);
-  RandomRunResult comb;
-  RunRandomTraceInto(&comb, combining, seed, kPages, kFrames, kAccesses);
-  RandomRunResult shard;
-  RunRandomTraceInto(&shard, sharded, seed, kPages, kFrames, kAccesses);
 
   EXPECT_EQ(base.hit_sequence, bat.hit_sequence);
   EXPECT_EQ(base.drop_outcomes, bat.drop_outcomes)
@@ -286,29 +223,15 @@ TEST_P(EquivalenceTest, RandomTraceWithDropsLeavesIdenticalPolicyState) {
   EXPECT_EQ(base.drain_fingerprint, bat.drain_fingerprint)
       << "the policies ended the identical trace in different states";
 
-  // pgBat++'s claim, stated as the paper states Fig. 8: flat combining is a
-  // commit-path optimization only. Against the shared-queue batcher it must
-  // match outcome-for-outcome AND leave the wrapped policy in the identical
-  // state (same drain order), drops and partial-batch flushes included.
-  EXPECT_EQ(shq.hit_sequence, comb.hit_sequence)
-      << "combining diverged from shared-queue on hit/miss outcomes";
-  EXPECT_EQ(shq.drop_outcomes, comb.drop_outcomes)
-      << "combining diverged from shared-queue on drop outcomes";
-  EXPECT_EQ(shq.drain_fingerprint, comb.drain_fingerprint)
-      << "combining left the policy in a different state than shared-queue";
-  EXPECT_EQ(base.drain_fingerprint, comb.drain_fingerprint)
-      << "combining left the policy in a different state than serialized";
-
-  // pgShard's claim at shard count 1: the lock-free hit path and lazy ring
-  // commits are a scheduling change only. Same outcomes, same drop
-  // behaviour, and the identical final policy state (same drain order).
-  EXPECT_EQ(shard.hit_drops, 0u) << "ring overflowed; enlarge kNoDropQueue";
-  EXPECT_EQ(base.hit_sequence, shard.hit_sequence)
-      << "sharded(1) diverged on hit/miss outcomes";
-  EXPECT_EQ(base.drop_outcomes, shard.drop_outcomes)
-      << "sharded(1) diverged on drop outcomes";
-  EXPECT_EQ(base.drain_fingerprint, shard.drain_fingerprint)
-      << "sharded(1) left the policy in a different state than serialized";
+  // The §III-A shared-queue batcher changes only the commit path too: same
+  // outcomes and the identical final policy state, drops and partial-batch
+  // flushes included.
+  EXPECT_EQ(base.hit_sequence, shq.hit_sequence)
+      << "shared-queue diverged from serialized on hit/miss outcomes";
+  EXPECT_EQ(base.drop_outcomes, shq.drop_outcomes)
+      << "shared-queue diverged from serialized on drop outcomes";
+  EXPECT_EQ(base.drain_fingerprint, shq.drain_fingerprint)
+      << "shared-queue left the policy in a different state than serialized";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -405,7 +405,7 @@ void Drain() {
 }
 
 TEST(LintTest, SeededPostCommitBookkeepingUnderLockIsFlagged) {
-  // The anti-pattern the combining coordinator's early-release split
+  // The anti-pattern the BP-Wrapper coordinator's early-release split
   // exists to remove: replay done, but the relaxed counters and the trace
   // emission still sit inside the critical section.
   const char* src = R"cpp(
@@ -426,11 +426,11 @@ void Coordinator::CommitLocked(AccessQueue& queue) {
 TEST(LintTest, BookkeepingAfterEarlyReleaseIsClean) {
   // The fixed shape: apply under the lock, Unlock(), then count and emit.
   const char* src = R"cpp(
-void Coordinator::CombineAndRelease(Slot* slot) {
+void Coordinator::CommitAndRelease(Slot* slot) {
   lock_.Lock();
   ApplyLocked(slot);
   lock_.Unlock();
-  BPW_SCHEDULE_POINT("combining.post_commit");
+  BPW_SCHEDULE_POINT("bpw.post_commit");
   commit_batches_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceEmit(obs::TraceEventKind::kBatchCommit, start, dur, n);
 }

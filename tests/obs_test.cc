@@ -187,6 +187,42 @@ TEST(MetricsSnapshotTest, DeltaFromSubtractsPointwise) {
   EXPECT_DOUBLE_EQ(delta.value("b"), 5.0);
 }
 
+TEST(MetricsSnapshotTest, DeltaFromKeepsGauges) {
+  // A gauge is a level, not a running total: differencing two snapshots
+  // must report the later level, not the (usually zero) change.
+  MetricsRegistry reg;
+  reg.GetGauge("frames")->Set(2048);
+  reg.GetCounter("work")->Add(10);
+  const MetricsSnapshot before = reg.Snapshot();
+  reg.GetGauge("frames")->Set(2000);
+  reg.GetCounter("work")->Add(32);
+  const MetricsSnapshot after = reg.Snapshot();
+
+  const MetricsSnapshot delta = after.DeltaFrom(before);
+  EXPECT_DOUBLE_EQ(delta.value("frames"), 2000.0);
+  EXPECT_DOUBLE_EQ(delta.value("work"), 32.0);
+
+  const std::vector<MetricsSnapshot> deltas =
+      StatsSampler::Deltas({before, after});
+  ASSERT_EQ(deltas.size(), 1u);
+  EXPECT_DOUBLE_EQ(deltas[0].value("frames"), 2000.0);
+  EXPECT_DOUBLE_EQ(deltas[0].value("work"), 32.0);
+}
+
+TEST(MetricsSnapshotTest, SourceGaugesKeepLaterValue) {
+  MetricsSnapshot before, after;
+  before.AddGauge("free", 100);
+  before.Add("hits", 5);
+  after.AddGauge("free", 40);
+  after.Add("hits", 9);
+  const MetricsSnapshot delta = after.DeltaFrom(before);
+  EXPECT_DOUBLE_EQ(delta.value("free"), 40.0);
+  EXPECT_DOUBLE_EQ(delta.value("hits"), 4.0);
+  // The marking survives differencing, so a delta of deltas stays right.
+  EXPECT_EQ(delta.gauges.count("free"), 1u);
+  EXPECT_EQ(delta.gauges.count("hits"), 0u);
+}
+
 TEST(MetricsSnapshotTest, ToJsonIsBalancedAndNamed) {
   MetricsSnapshot snap;
   snap.wall_nanos = 1500000;  // 1.5 ms

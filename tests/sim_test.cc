@@ -238,30 +238,6 @@ TEST(SimTest, TwoQOutHitsClockInSim) {
       << "2Q's ghost list must beat clock on a loop";
 }
 
-TEST(SimTest, ShardedAcquiresFewerLocksThanCombining) {
-  // The sharded acceptance criterion: at 16 processors on dbt2 the
-  // lock-free hit path plus per-shard commits must acquire fewer locks
-  // than the flat-combining stack — hits never lock, and the remaining
-  // commit traffic splits over the shards.
-  auto combining = RunSimulation(BaseConfig("pgBat++", 16));
-  auto sharded = RunSimulation(BaseConfig("pgShard", 16));
-  ASSERT_TRUE(combining.ok()) << combining.status().ToString();
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_LT(sharded->lock.acquisitions, combining->lock.acquisitions)
-      << "pgShard must acquire fewer locks than pgBat++ at 16 processors";
-}
-
-TEST(SimTest, ShardedScalesPastSixtyFourProcessors) {
-  // The p=64..128 regime the bench sweep covers: throughput must keep
-  // growing (or at worst hold) when the machine doubles past the paper's
-  // largest configuration — the per-shard locks keep the commit traffic
-  // from re-serializing.
-  const double t64 = SimTps("pgShard", 64);
-  const double t128 = SimTps("pgShard", 128);
-  EXPECT_GT(t128, t64 * 0.9)
-      << "pgShard must not collapse between 64 and 128 processors";
-}
-
 TEST(SimTest, NumaSingleNodeIsBitIdentical) {
   // numa_nodes = 1 must preserve the original (P-1)/P coherence scaling
   // exactly — every existing baseline depends on it.

@@ -1,4 +1,4 @@
-// Seeded violations: CAS retry-loop discipline. pgShard's hit path is
+// Seeded violations: CAS retry-loop discipline. A lock-free hit path is
 // lock-free only if (a) every CAS retry loop has a provable bound — the
 // retry count is bounded by the number of concurrent writers, and the
 // annotation must say so — and (b) the loop body never falls back to a

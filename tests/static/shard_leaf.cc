@@ -1,6 +1,6 @@
 // Seeded violation: a lock class annotated BPW_LOCK_LEAF makes a blocking
 // acquisition while held. Leaf classes must have zero blocking out-degree
-// — that is the encoded form of pgShard's "never hold two shard locks"
+// — that is the encoded form of a "never hold two shard locks"
 // invariant; TryLock-bounded edges stay whitelisted (see TryNeighbor).
 //
 // Not compiled — analyzed standalone by `bpw_atomiclint

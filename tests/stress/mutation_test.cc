@@ -8,14 +8,14 @@
 //     the evictor overwrites its frame). The stress harness must observe the
 //     resulting corruption — a stamp mismatch, an integrity violation, or a
 //     wedged stale mapping — and report it with the reproduction seed.
-//  2. CombiningCoordinator::Options::test_skip_commit_before_victim drops
+//  2. BpWrapperCoordinator::Options::test_skip_commit_before_victim drops
 //     the Fig. 4 "commit queued accesses before selecting a victim" rule.
 //     Single-threaded equivalence with the serialized coordinator (the
 //     paper's central claim, tests/equivalence_test.cc) must break.
 #include <gtest/gtest.h>
 
 #include "buffer/buffer_pool.h"
-#include "core/combining_coordinator.h"
+#include "core/bp_wrapper.h"
 #include "policy/policy_factory.h"
 #include "stress/stress_runner.h"
 #include "workload/trace_generator.h"
@@ -89,164 +89,6 @@ TEST(MutationTest, UnmutatedControlRunPasses) {
   EXPECT_TRUE(result.ok) << result.failure;
 }
 
-// --- Flat-combining handoff bugs (CombiningCoordinator test hooks).
-//
-// Both seeded bugs break the publication conservation equation
-// (published == drained + pending) that CheckIntegrity verifies at
-// quiesce, so the stress harness catches them without any dedicated
-// detector — which is the point: one invariant covers the whole
-// publish/claim/recycle protocol.
-
-stress::StressOptions CombiningStressOptions(uint64_t seed) {
-  stress::StressOptions options;
-  options.seed = seed;
-  options.system.policy = "lru";
-  options.system.coordinator = "combining";
-  // Small queue: frequent publications and adoptions, so a handoff bug
-  // corrupts the books within the first few hundred ops.
-  options.system.queue_size = 8;
-  options.system.batch_threshold = 4;
-  options.threads = 4;
-  options.ops_per_thread = 6000;
-  options.frames = 16;
-  options.pages = 96;
-  options.hot_probability = 0.5;
-  options.dirty_probability = 0.3;
-  options.schedule.sleep_probability = 0.02;
-  options.schedule.max_sleep_micros = 200;
-  return options;
-}
-
-void ExpectCombiningMutationCaught(
-    void (*arm)(SystemConfig&), const char* what) {
-  // Conservation breaks deterministically once the mutated path runs, but
-  // probe a few seeds anyway, mirroring the victim-revalidation pattern:
-  // the assertion is about the harness, and the harness's contract is
-  // "some probed seed fails and prints its reproduction line".
-  uint64_t failing_seed = 0;
-  std::string failure;
-  for (uint64_t seed : {101, 102, 103, 104, 105}) {
-    stress::StressOptions options = CombiningStressOptions(seed);
-    arm(options.system);
-    const stress::StressResult result = stress::RunStress(options);
-    if (!result.ok) {
-      failing_seed = seed;
-      failure = result.failure;
-      break;
-    }
-  }
-  ASSERT_NE(failing_seed, 0u)
-      << what << " was not detected by any probed seed; the conservation "
-      << "invariant has lost its teeth";
-  EXPECT_NE(failure.find("--seed=" + std::to_string(failing_seed)),
-            std::string::npos)
-      << failure;
-  EXPECT_NE(failure.find("publication conservation"), std::string::npos)
-      << "caught by something other than the conservation invariant: "
-      << failure;
-}
-
-TEST(MutationTest, HarnessCatchesCombiningDrainTwice) {
-  // The lost-handoff bug: a combiner applies a claimed slot twice
-  // (drained > published at quiesce).
-  ExpectCombiningMutationCaught(
-      [](SystemConfig& system) { system.test_combine_drain_twice = true; },
-      "combining drain-twice");
-}
-
-TEST(MutationTest, HarnessCatchesCombiningClearReadyBeforeApply) {
-  // The dropped-batch bug: the ready flag is cleared before the apply, so
-  // the whole published batch vanishes (published > drained at quiesce).
-  ExpectCombiningMutationCaught(
-      [](SystemConfig& system) {
-        system.test_combine_clear_ready_before_apply = true;
-      },
-      "combining clear-ready-before-apply");
-}
-
-TEST(MutationTest, UnmutatedCombiningControlRunPasses) {
-  const stress::StressResult result = stress::RunStress(
-      CombiningStressOptions(101));
-  EXPECT_TRUE(result.ok) << result.failure;
-}
-
-// --- Sharded-policy bugs (ShardedCoordinator test hooks).
-//
-// Both seeded bugs break the cross-shard conservation equation (every
-// mapped page resident in exactly its home shard) that the coordinator's
-// CheckQuiescedInvariants verifies inside CheckIntegrity — one oracle
-// covers both the rebalance protocol and the delivery routing.
-
-stress::StressOptions ShardedStressOptions(uint64_t seed) {
-  stress::StressOptions options;
-  options.seed = seed;
-  options.system.policy = "2q";
-  options.system.coordinator = "sharded";
-  options.system.policy_shards = 4;
-  // Tiny ring + fast cadence: commits (and so the mutation's trigger
-  // points) every couple of entries.
-  options.system.queue_size = 8;
-  options.system.rebalance_interval = 2;
-  options.threads = 4;
-  options.ops_per_thread = 6000;
-  // Tiny pool over 4 shards: ~2 resident pages per shard, so victim
-  // searches routinely find the home shard empty and borrow — the exact
-  // window the stale-shard mutation needs.
-  options.frames = 8;
-  options.pages = 96;
-  options.hot_probability = 0.5;
-  options.dirty_probability = 0.3;
-  options.schedule.sleep_probability = 0.02;
-  options.schedule.max_sleep_micros = 200;
-  return options;
-}
-
-void ExpectShardedMutationCaught(void (*arm)(SystemConfig&),
-                                 const char* what) {
-  uint64_t failing_seed = 0;
-  std::string failure;
-  for (uint64_t seed : {101, 102, 103, 104, 105, 106, 107, 108, 109, 110}) {
-    stress::StressOptions options = ShardedStressOptions(seed);
-    arm(options.system);
-    const stress::StressResult result = stress::RunStress(options);
-    if (!result.ok) {
-      failing_seed = seed;
-      failure = result.failure;
-      break;
-    }
-  }
-  ASSERT_NE(failing_seed, 0u)
-      << what << " was not detected by any probed seed; the cross-shard "
-      << "conservation oracle has lost its teeth";
-  EXPECT_NE(failure.find("--seed=" + std::to_string(failing_seed)),
-            std::string::npos)
-      << failure;
-  EXPECT_NE(failure.find("shard conservation"), std::string::npos)
-      << "caught by something other than the conservation oracle: "
-      << failure;
-}
-
-TEST(MutationTest, HarnessCatchesShardDoubleTracking) {
-  // The rebalance-without-unregister bug: one page resident in two shards.
-  ExpectShardedMutationCaught(
-      [](SystemConfig& system) { system.test_shard_double_track = true; },
-      "shard double-tracking");
-}
-
-TEST(MutationTest, HarnessCatchesShardStaleEviction) {
-  // The stale-cached-shard-index bug: a loaded page registered with the
-  // shard that supplied its victim frame instead of its home shard.
-  ExpectShardedMutationCaught(
-      [](SystemConfig& system) { system.test_shard_stale_eviction = true; },
-      "shard stale-eviction routing");
-}
-
-TEST(MutationTest, UnmutatedShardedControlRunPasses) {
-  const stress::StressResult result =
-      stress::RunStress(ShardedStressOptions(101));
-  EXPECT_TRUE(result.ok) << result.failure;
-}
-
 #endif  // BPW_SCHEDULE_POINTS
 
 // Single-threaded hit/miss sequence of a buffer pool, for the equivalence
@@ -290,19 +132,18 @@ TEST(MutationTest, EquivalenceCatchesSkippedCommitBeforeVictim) {
     return std::move(policy).value();
   };
 
-  CombiningCoordinator::Options faithful;
-  faithful.max_slots = 0;  // the plain BP-Wrapper protocol
+  BpWrapperCoordinator::Options faithful;
   faithful.queue_size = 64;
   faithful.batch_threshold = 32;
 
-  CombiningCoordinator::Options mutated = faithful;
+  BpWrapperCoordinator::Options mutated = faithful;
   mutated.test_skip_commit_before_victim = true;
 
   const std::vector<bool> base = HitSequence(
-      std::make_unique<CombiningCoordinator>(make_policy(), faithful),
+      std::make_unique<BpWrapperCoordinator>(make_policy(), faithful),
       kAccesses);
   const std::vector<bool> broken = HitSequence(
-      std::make_unique<CombiningCoordinator>(make_policy(), mutated),
+      std::make_unique<BpWrapperCoordinator>(make_policy(), mutated),
       kAccesses);
 
   // Committing after victim selection feeds the policy stale history, so

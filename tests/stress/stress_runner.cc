@@ -155,42 +155,6 @@ std::vector<StressConfig> DefaultStressMatrix() {
       c.coordinator = "shared-queue";
       matrix.push_back({"shared-queue/" + policy, c});
     }
-    {
-      SystemConfig c;
-      c.policy = policy;
-      c.coordinator = "combining";
-      matrix.push_back({"combining/" + policy, c});
-    }
-    {
-      SystemConfig c;
-      c.policy = policy;
-      c.coordinator = "combining";
-      c.prefetch = true;
-      // Tiny queue: frequent publications, constant combiner adoption
-      // traffic, and the blocking-Lock fallback all get exercised.
-      c.queue_size = 8;
-      c.batch_threshold = 4;
-      matrix.push_back({"combining+pre-s8/" + policy, c});
-    }
-    {
-      SystemConfig c;
-      c.policy = policy;
-      c.coordinator = "sharded";
-      c.policy_shards = 4;
-      matrix.push_back({"sharded-x4/" + policy, c});
-    }
-    {
-      SystemConfig c;
-      c.policy = policy;
-      c.coordinator = "sharded";
-      c.policy_shards = 4;
-      c.prefetch = true;
-      // A tiny ring overflows constantly: the drop-oldest path, frequent
-      // small commits, and the rebalance cadence all get exercised.
-      c.queue_size = 8;
-      c.rebalance_interval = 2;
-      matrix.push_back({"sharded-x4+pre-s8/" + policy, c});
-    }
   }
   for (const char* policy : {"clock", "gclock"}) {
     SystemConfig c;

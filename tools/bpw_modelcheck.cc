@@ -36,22 +36,17 @@ void PrintUsage() {
       "  --scenario NAME        preset scenario (see --list)\n"
       "  --bound N              preemption bound (default 2)\n"
       "  --coordinator NAME     override: serialized|shared-queue|\n"
-      "                         bp-wrapper|combining|sharded\n"
+      "                         bp-wrapper\n"
       "  --policy NAME          override: lru|fifo|clock|gclock|...\n"
       "  --threads N            override worker count\n"
       "  --pages N --frames N   override working set / buffer size\n"
       "  --queue N --threshold N  override BP-Wrapper S and T\n"
-      "  --shards N             override policy shard count (sharded)\n"
-      "  --rebalance N          override rebalance cadence (sharded)\n"
       "  --ops N                override ops per thread\n"
       "  --budget N             per-execution decision cap (default 10000)\n"
       "  --max-execs N          stop after N executions (0 = unlimited)\n"
       "  --time-limit-ms N      stop after N ms (0 = unlimited)\n"
       "  --mutation NAME        seed a known bug: skip_victim_revalidation |\n"
-      "                         skip_commit_before_victim | commit_without_lock |\n"
-      "                         combine_skip_release | combine_drain_twice |\n"
-      "                         combine_clear_ready | shard_double_track |\n"
-      "                         shard_stale_eviction\n"
+      "                         skip_commit_before_victim | commit_without_lock\n"
       "  --no-dpor              disable sleep-set pruning\n"
       "  --no-state-dedup       disable visited-state dedup\n"
       "  --replay-out FILE      write (and minimize) the violating trace\n"
@@ -75,8 +70,6 @@ struct Args {
   int ops = 0;
   size_t queue = 0;
   size_t threshold = 0;
-  size_t shards = 0;
-  size_t rebalance = SIZE_MAX;  // SIZE_MAX = keep the preset's cadence
   uint64_t budget = 0;
   uint64_t max_execs = 0;
   uint64_t time_limit_ms = 0;
@@ -148,12 +141,6 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       } else if (flag == "--threshold") {
         if ((value = need_value(i)) == nullptr) return false;
         args.threshold = std::stoull(value);
-      } else if (flag == "--shards") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.shards = std::stoull(value);
-      } else if (flag == "--rebalance") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.rebalance = std::stoull(value);
       } else if (flag == "--budget") {
         if ((value = need_value(i)) == nullptr) return false;
         args.budget = std::stoull(value);
@@ -207,26 +194,6 @@ bool ApplyMutation(const std::string& name, ScenarioConfig& config) {
   }
   if (name == "commit_without_lock") {
     config.mutate_commit_without_lock = true;
-    return true;
-  }
-  if (name == "combine_skip_release") {
-    config.mutate_combine_skip_release = true;
-    return true;
-  }
-  if (name == "combine_drain_twice") {
-    config.mutate_combine_drain_twice = true;
-    return true;
-  }
-  if (name == "combine_clear_ready") {
-    config.mutate_combine_clear_ready = true;
-    return true;
-  }
-  if (name == "shard_double_track") {
-    config.mutate_shard_double_track = true;
-    return true;
-  }
-  if (name == "shard_stale_eviction") {
-    config.mutate_shard_stale_eviction = true;
     return true;
   }
   std::cerr << "bpw_modelcheck: unknown mutation '" << name << "'\n";
@@ -294,8 +261,6 @@ int RunExploreMode(const Args& args) {
   if (args.ops > 0) config.ops_per_thread = args.ops;
   if (args.queue > 0) config.queue_size = args.queue;
   if (args.threshold > 0) config.batch_threshold = args.threshold;
-  if (args.shards > 0) config.policy_shards = args.shards;
-  if (args.rebalance != SIZE_MAX) config.rebalance_interval = args.rebalance;
   if (args.budget > 0) config.max_decisions = args.budget;
   if (!ApplyMutation(args.mutation, config)) return 2;
 

@@ -37,7 +37,6 @@ struct Args {
   size_t frames = 0;  // 0 = footprint
   size_t queue = 64;
   size_t threshold = 32;
-  size_t policy_shards = 0;  // 0 = keep the system/coordinator default
   bool prefetch = false;
   bool simulate = false;
   uint64_t duration_ms = 400;
@@ -73,15 +72,14 @@ void Usage() {
   std::printf(
       "bpw_run — run one buffer-management experiment\n\n"
       "  --system=NAME        paper system (pgClock|pg2Q|pgPre|pgBat|\n"
-      "                       pgBatPre) or this repo's pgBat++ / pgShard\n"
+      "                       pgBatPre)\n"
       "  --policy=NAME        replacement policy (default 2q); see below\n"
       "  --coordinator=KIND   serialized | shared-queue | bp-wrapper |\n"
-      "                       combining | clock-lockfree | sharded\n"
+      "                       clock-lockfree\n"
       "  --prefetch           enable the paper's prefetch technique\n"
       "  --queue=N            BP-Wrapper queue size (default 64)\n"
       "  --threshold=N        BP-Wrapper batch threshold (default 32)\n"
-      "  --policy-shards=N    sharded coordinator: policy shard count\n"
-      "                       (default: the system's, pgShard = 8)\n"
+
       "  --workload=NAME      dbt1 | dbt2 | tablescan | zipfian | uniform |\n"
       "                       seqloop (default dbt2)\n"
       "  --pages=N            workload footprint in pages (default 8192)\n"
@@ -136,8 +134,6 @@ std::string ResultJson(const Args& args, const DriverConfig& config,
                              config.system.queue_size));
   out += ",\"threshold\":" + JsonNumber(static_cast<double>(
                                  config.system.batch_threshold));
-  out += ",\"policy_shards\":" + JsonNumber(static_cast<double>(
-                                     config.system.policy_shards));
   out += ",\"seed\":" + JsonNumber(static_cast<double>(args.seed));
   out += "},";
 
@@ -247,10 +243,6 @@ int main(int argc, char** argv) {
       args.threshold = u64;
       continue;
     }
-    if (ParseFlag(arg, "--policy-shards", &u64)) {
-      args.policy_shards = u64;
-      continue;
-    }
     if (std::strcmp(arg, "--prefetch") == 0) {
       args.prefetch = true;
       continue;
@@ -304,7 +296,6 @@ int main(int argc, char** argv) {
   }
   config.system.queue_size = args.queue;
   config.system.batch_threshold = args.threshold;
-  if (args.policy_shards > 0) config.system.policy_shards = args.policy_shards;
   config.metrics_interval_ms = args.metrics_interval_ms;
   if (args.contention_report) {
     if (args.simulate) {

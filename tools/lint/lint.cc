@@ -76,7 +76,7 @@ std::vector<Finding> LintImpl(const std::string& path,
   // emission. Both are lock-free by construction (that is what
   // memory_order_relaxed and the SPSC trace ring mean), so holding the
   // contention lock across them is pure critical-section stretch — the
-  // exact nanoseconds the combining coordinator's early-release split
+  // exact nanoseconds the BP-Wrapper coordinator's early-release split
   // moves out of the lock.
   static const std::regex kRelaxedCounter(R"(\.fetch_(add|sub)\s*\()");
   static const std::regex kTraceEmit(R"(\bTraceEmit\s*\()");
