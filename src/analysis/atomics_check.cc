@@ -1,6 +1,5 @@
 #include "analysis/atomics_check.h"
 
-#include <map>
 #include <set>
 #include <string>
 
@@ -9,77 +8,40 @@
 namespace bpw {
 namespace analysis {
 
+const char* const kAtomicsRules[2] = {"relaxed-unannotated",
+                                      "mc-access-unannotated"};
+
 namespace {
 
 bool PathContains(const std::string& path, const std::string& piece) {
   return path.find(piece) != std::string::npos;
 }
 
-bool IsLibFile(const std::string& path, const AtomicsOptions& opts) {
-  if (opts.all_files_lib) return true;
+bool IsLibFile(const std::string& path, bool all_files_lib) {
+  if (all_files_lib) return true;
   if (!PathContains(path, "src/")) return false;
   return !PathContains(path, "src/sync/") &&
          !PathContains(path, "src/analysis/");
 }
 
-bool FieldAllowsRelaxed(const FieldDecl& f) {
+/// The field declares how it is synchronized: relaxed by design, or a
+/// capability.
+bool FieldHasConcurrencyAnnotation(const FieldDecl& f) {
   return f.HasAnnotation("BPW_RELAXED_OK") ||
-         f.HasAnnotation("BPW_PUBLISHED_BY") ||
-         f.HasAnnotation("BPW_SEQLOCK_STAMP") ||
          f.HasAnnotation("BPW_GUARDED_BY") ||
          f.HasAnnotation("BPW_PT_GUARDED_BY");
 }
 
-bool FieldHasConcurrencyAnnotation(const FieldDecl& f) {
-  return FieldAllowsRelaxed(f);
-}
-
-bool IsReleaseOrder(const std::string& t) {
-  return t == "memory_order_release" || t == "memory_order_acq_rel" ||
-         t == "memory_order_seq_cst";
-}
-
-bool IsAcquireOrder(const std::string& t) {
-  return t == "memory_order_acquire" || t == "memory_order_acq_rel" ||
-         t == "memory_order_seq_cst";
-}
-
-bool IsStoreOp(const std::string& t) {
-  return t == "store" || t == "exchange" || t == "fetch_add" ||
-         t == "fetch_sub" || t == "fetch_or" || t == "fetch_and" ||
-         t == "fetch_xor";
-}
-
-bool IsCasOp(const std::string& t) {
-  return t.rfind("compare_exchange", 0) == 0;
-}
-
-/// Mutating container/atomic member calls count as writes; everything
-/// else reached through '.' is a read.
-bool IsMutatingCall(const std::string& t) {
-  return IsStoreOp(t) || IsCasOp(t) || t == "push_back" ||
-         t == "emplace_back" || t == "assign" || t == "resize" ||
-         t == "clear" || t == "insert" || t == "pop_back";
-}
-
-struct PayloadUse {
-  int first_write_line = 0;
-  int first_read_line = 0;
-  std::string field_name;
-};
-
 class Checker {
  public:
-  Checker(const TreeModel& tree, const AtomicsOptions& opts)
-      : tree_(tree), opts_(opts) {}
+  Checker(const TreeModel& tree, bool all_files_lib)
+      : tree_(tree), all_files_lib_(all_files_lib) {}
 
   std::vector<Finding> Run() {
-    IndexAnnotations();
     for (const FileModel& fm : tree_.files) {
-      if (!IsLibFile(fm.path, opts_)) continue;
+      if (!IsLibFile(fm.path, all_files_lib_)) continue;
       CollectSiteWhitelist(fm);
       CheckRelaxed(fm);
-      CheckPublication(fm);
       CheckMcAccess(fm);
     }
     return std::move(findings_);
@@ -88,35 +50,7 @@ class Checker {
  private:
   void Report(const FileModel& fm, int line, const std::string& rule,
               const std::string& message) {
-    if (!opts_.ignore_allows && fm.lex.Allowed(line - 1, rule)) return;
     findings_.push_back({fm.path, line, rule, message});
-  }
-
-  void IndexAnnotations() {
-    auto index_field = [&](const FieldDecl& f) {
-      const Annotation* pub = f.FindAnnotation("BPW_PUBLISHED_BY");
-      if (pub != nullptr) {
-        const FieldDecl* stamp =
-            ResolveFieldRef(tree_, nullptr, f.owner, "", pub->args);
-        if (stamp == nullptr) {
-          findings_.push_back(
-              {f.file, f.line, "bad-annotation",
-               "BPW_PUBLISHED_BY(" + pub->args + ") on '" + f.name +
-                   "': stamp field not found in " +
-                   (f.owner.empty() ? "file scope" : f.owner)});
-        } else {
-          payload_stamp_[&f] = stamp;
-          payload_by_name_.emplace(f.name, &f);
-        }
-      }
-      if (f.HasAnnotation("BPW_SEQLOCK_STAMP")) seqlock_stamps_.insert(&f);
-    };
-    for (const FileModel& fm : tree_.files) {
-      for (const TypeDecl& t : fm.types) {
-        for (const FieldDecl& f : t.fields) index_field(f);
-      }
-      for (const FieldDecl& f : fm.globals) index_field(f);
-    }
   }
 
   /// Lines covered by a standalone BPW_RELAXED_OK("reason") statement
@@ -221,7 +155,7 @@ class Checker {
         const FunctionDecl* fn = EnclosingFunction(fm, i);
         const FieldDecl* f = ResolveFieldRef(
             tree_, fn, fn != nullptr ? fn->qualifier : "", receiver, member);
-        if (f != nullptr && FieldAllowsRelaxed(*f)) continue;
+        if (f != nullptr && FieldHasConcurrencyAnnotation(*f)) continue;
         // A local atomic (incl. a reference parameter): the discipline
         // macros attach to field/global declarations, so locals are out of
         // scope — the declaring function owns their ordering story.
@@ -233,8 +167,8 @@ class Checker {
                f != nullptr
                    ? "relaxed " + op + " of '" + f->owner +
                          (f->owner.empty() ? "" : "::") + f->name +
-                         "' which has no BPW_RELAXED_OK / publication / "
-                         "capability annotation"
+                         "' which has no BPW_RELAXED_OK / capability "
+                         "annotation"
                    : "relaxed " + op + " of '" + member +
                          "' which resolves to no annotated field; annotate "
                          "the field or mark the site BPW_RELAXED_OK(reason)");
@@ -244,228 +178,6 @@ class Checker {
              "memory_order_relaxed at a site the analyzer cannot attribute "
              "to an annotated field; mark the site BPW_RELAXED_OK(reason)");
     }
-  }
-
-  /// True if `fn`'s body publishes `stamp` with release-or-stronger
-  /// semantics (explicit release order, default-seq_cst store/RMW, or any
-  /// compare_exchange claim).
-  bool HasReleasePublish(const FileModel& fm, const FunctionDecl& fn,
-                         const FieldDecl* stamp) const {
-    return ScanStampOps(fm, fn, stamp, /*want_release=*/true);
-  }
-
-  bool HasAcquireObserve(const FileModel& fm, const FunctionDecl& fn,
-                         const FieldDecl* stamp) const {
-    if (ScanStampOps(fm, fn, stamp, /*want_release=*/false)) return true;
-    // An explicit acquire fence in the body also orders the payload reads.
-    const std::vector<Token>& toks = fm.lex.tokens;
-    for (size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
-      if (toks[i].kind == TokKind::kIdent &&
-          toks[i].text == "atomic_thread_fence") {
-        for (size_t j = i + 1; j < fn.body_end && j < i + 8; ++j) {
-          if (toks[j].kind == TokKind::kIdent &&
-              IsAcquireOrder(toks[j].text)) {
-            return true;
-          }
-        }
-      }
-    }
-    return false;
-  }
-
-  bool ScanStampOps(const FileModel& fm, const FunctionDecl& fn,
-                    const FieldDecl* stamp, bool want_release) const {
-    const std::vector<Token>& toks = fm.lex.tokens;
-    for (size_t i = fn.body_begin; i + 2 < fn.body_end; ++i) {
-      if (toks[i].kind != TokKind::kIdent || toks[i].text != stamp->name) {
-        continue;
-      }
-      std::string receiver;
-      if (i >= 2 && toks[i - 1].kind == TokKind::kPunct &&
-          (toks[i - 1].text == "." || toks[i - 1].text == "->") &&
-          toks[i - 2].kind == TokKind::kIdent) {
-        receiver = toks[i - 2].text;
-      }
-      const FieldDecl* f =
-          ResolveFieldRef(tree_, &fn, fn.qualifier, receiver, stamp->name);
-      if (f != stamp) continue;
-      if (toks[i + 1].kind != TokKind::kPunct ||
-          (toks[i + 1].text != "." && toks[i + 1].text != "->")) {
-        continue;
-      }
-      const std::string& op = toks[i + 2].text;
-      if (IsCasOp(op)) return true;  // claim/publish RMW, >= acq_rel here
-      const bool relevant = want_release ? IsStoreOp(op) : op == "load";
-      if (!relevant) continue;
-      // Inspect the call's order argument; none means seq_cst.
-      bool explicit_order = false;
-      bool strong_enough = false;
-      if (i + 3 < fn.body_end && toks[i + 3].kind == TokKind::kPunct &&
-          toks[i + 3].text == "(") {
-        int depth = 0;
-        for (size_t j = i + 3; j < fn.body_end; ++j) {
-          if (toks[j].kind == TokKind::kPunct) {
-            if (toks[j].text == "(") ++depth;
-            if (toks[j].text == ")" && --depth == 0) break;
-          }
-          if (toks[j].kind == TokKind::kIdent &&
-              toks[j].text.rfind("memory_order_", 0) == 0) {
-            explicit_order = true;
-            strong_enough = want_release ? IsReleaseOrder(toks[j].text)
-                                         : IsAcquireOrder(toks[j].text);
-          }
-        }
-      }
-      if (!explicit_order || strong_enough) return true;
-    }
-    return false;
-  }
-
-  int CountStampLoads(const FileModel& fm, const FunctionDecl& fn,
-                      const FieldDecl* stamp) const {
-    const std::vector<Token>& toks = fm.lex.tokens;
-    int loads = 0;
-    for (size_t i = fn.body_begin; i + 2 < fn.body_end; ++i) {
-      if (toks[i].kind != TokKind::kIdent || toks[i].text != stamp->name) {
-        continue;
-      }
-      if (toks[i + 1].kind == TokKind::kPunct &&
-          (toks[i + 1].text == "." || toks[i + 1].text == "->") &&
-          toks[i + 2].kind == TokKind::kIdent &&
-          (toks[i + 2].text == "load" || IsCasOp(toks[i + 2].text))) {
-        ++loads;
-      }
-    }
-    return loads;
-  }
-
-  bool HasOddTest(const FileModel& fm, const FunctionDecl& fn) const {
-    const std::vector<Token>& toks = fm.lex.tokens;
-    for (size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
-      // `& 1` with any integer suffix (`1u`, `1UL`) counts.
-      const std::string& num = toks[i + 1].text;
-      const bool is_one = !num.empty() && num[0] == '1' &&
-                          num.find_first_not_of("uUlL", 1) == std::string::npos;
-      if (toks[i].kind == TokKind::kPunct && toks[i].text == "&" &&
-          toks[i + 1].kind == TokKind::kNumber && is_one &&
-          i > fn.body_begin &&
-          (toks[i - 1].kind == TokKind::kIdent ||
-           (toks[i - 1].kind == TokKind::kPunct && toks[i - 1].text == ")"))) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void CheckPublication(const FileModel& fm) {
-    if (payload_stamp_.empty()) return;
-    const std::vector<Token>& toks = fm.lex.tokens;
-    for (const FunctionDecl& fn : fm.functions) {
-      if (!fn.has_body) continue;
-      // stamp -> usage of its payload inside this function
-      std::map<const FieldDecl*, PayloadUse> uses;
-      for (size_t i = fn.body_begin; i < fn.body_end; ++i) {
-        const Token& t = toks[i];
-        if (t.kind != TokKind::kIdent) continue;
-        auto range = payload_by_name_.equal_range(t.text);
-        if (range.first == range.second) continue;
-        std::string receiver;
-        if (i >= 2 && toks[i - 1].kind == TokKind::kPunct &&
-            (toks[i - 1].text == "." || toks[i - 1].text == "->") &&
-            toks[i - 2].kind == TokKind::kIdent) {
-          receiver = toks[i - 2].text;
-        }
-        const FieldDecl* f =
-            ResolveFieldRef(tree_, &fn, fn.qualifier, receiver, t.text);
-        auto ps = payload_stamp_.find(f);
-        if (ps == payload_stamp_.end()) continue;
-        const bool write = ClassifyWrite(toks, i, fn.body_end);
-        PayloadUse& use = uses[ps->second];
-        use.field_name = f->name;
-        if (write && use.first_write_line == 0) use.first_write_line = t.line;
-        if (!write && use.first_read_line == 0) use.first_read_line = t.line;
-      }
-      for (const auto& entry : uses) {
-        const FieldDecl* stamp = entry.first;
-        const PayloadUse& use = entry.second;
-        if (use.first_write_line != 0 &&
-            !HasReleasePublish(fm, fn, stamp)) {
-          Report(fm, use.first_write_line, "relaxed-publication-store",
-                 fn.qualified + " writes published payload '" +
-                     use.field_name +
-                     "' but never publishes stamp '" + stamp->name +
-                     "' with a release-or-stronger store");
-        }
-        if (use.first_read_line != 0) {
-          if (!HasAcquireObserve(fm, fn, stamp)) {
-            Report(fm, use.first_read_line, "unordered-publication-read",
-                   fn.qualified + " reads published payload '" +
-                       use.field_name + "' without an acquire-or-stronger "
-                       "load of stamp '" + stamp->name + "'");
-          } else if (seqlock_stamps_.count(stamp) > 0) {
-            const int loads = CountStampLoads(fm, fn, stamp);
-            const bool odd = HasOddTest(fm, fn);
-            if (loads < 2 || !odd) {
-              Report(fm, use.first_read_line, "torn-seqlock-read",
-                     fn.qualified + " reads seqlock payload '" +
-                         use.field_name + "' without the full seqlock "
-                         "shape (needs >= 2 loads of '" + stamp->name +
-                         "' and an odd-test re-check; saw " +
-                         std::to_string(loads) + " load(s), odd-test " +
-                         (odd ? "present" : "missing") + ")");
-            }
-          }
-        }
-      }
-    }
-  }
-
-  /// Is the payload access at token i a write?
-  bool ClassifyWrite(const std::vector<Token>& toks, size_t i,
-                     size_t end) const {
-    size_t j = i + 1;
-    // Skip subscripts: entries[k] = ...
-    while (j < end && toks[j].kind == TokKind::kPunct && toks[j].text == "[") {
-      int depth = 0;
-      for (; j < end; ++j) {
-        if (toks[j].kind != TokKind::kPunct) continue;
-        if (toks[j].text == "[") ++depth;
-        if (toks[j].text == "]" && --depth == 0) {
-          ++j;
-          break;
-        }
-      }
-    }
-    if (j >= end || toks[j].kind != TokKind::kPunct) return false;
-    if (toks[j].text == "." || toks[j].text == "->") {
-      return j + 1 < end && toks[j + 1].kind == TokKind::kIdent &&
-             IsMutatingCall(toks[j + 1].text);
-    }
-    if (toks[j].text == "=") {
-      // '==' lexes as two '=' puncts; '<=' '>=' '!=' put theirs first.
-      const bool eq_after = j + 1 < end &&
-                            toks[j + 1].kind == TokKind::kPunct &&
-                            toks[j + 1].text == "=";
-      const bool cmp_before =
-          toks[j - 1].kind == TokKind::kPunct &&
-          (toks[j - 1].text == "=" || toks[j - 1].text == "!" ||
-           toks[j - 1].text == "<" || toks[j - 1].text == ">");
-      return !eq_after && !cmp_before;
-    }
-    // Compound assignment: += -= |= &= ^=
-    if ((toks[j].text == "+" || toks[j].text == "-" || toks[j].text == "|" ||
-         toks[j].text == "&" || toks[j].text == "^") &&
-        j + 1 < end && toks[j + 1].kind == TokKind::kPunct &&
-        toks[j + 1].text == "=") {
-      return true;
-    }
-    // ++/--
-    if ((toks[j].text == "+" || toks[j].text == "-") && j + 1 < end &&
-        toks[j + 1].kind == TokKind::kPunct &&
-        toks[j + 1].text == toks[j].text) {
-      return true;
-    }
-    return false;
   }
 
   void CheckMcAccess(const FileModel& fm) {
@@ -532,7 +244,7 @@ class Checker {
           Report(fm, t.line, "mc-access-unannotated",
                  "race certifier watches '" + f->owner +
                      (f->owner.empty() ? "" : "::") + f->name +
-                     "' but the field has no capability or publication "
+                     "' but the field has no capability or BPW_RELAXED_OK "
                      "annotation");
         }
         continue;
@@ -548,7 +260,7 @@ class Checker {
             if (!FieldHasConcurrencyAnnotation(tf)) {
               Report(fm, t.line, "mc-access-unannotated",
                      "race certifier watches a " + type_name + " but field '" +
-                         tf.name + "' has no capability or publication "
+                         tf.name + "' has no capability or BPW_RELAXED_OK "
                          "annotation");
             }
           }
@@ -564,19 +276,16 @@ class Checker {
   }
 
   const TreeModel& tree_;
-  const AtomicsOptions& opts_;
+  const bool all_files_lib_;
   std::vector<Finding> findings_;
-  std::map<const FieldDecl*, const FieldDecl*> payload_stamp_;
-  std::multimap<std::string, const FieldDecl*> payload_by_name_;
-  std::set<const FieldDecl*> seqlock_stamps_;
   std::set<int> site_ok_;
 };
 
 }  // namespace
 
 std::vector<Finding> CheckAtomics(const TreeModel& tree,
-                                  const AtomicsOptions& opts) {
-  return Checker(tree, opts).Run();
+                                  bool all_files_lib) {
+  return Checker(tree, all_files_lib).Run();
 }
 
 }  // namespace analysis

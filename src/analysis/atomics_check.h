@@ -3,25 +3,16 @@
 // The annotations (src/util/thread_annotations.h) declare the protocol;
 // this checker makes the declarations binding:
 //
-//   relaxed-unannotated       — a memory_order_relaxed access whose field
-//                               carries no BPW_RELAXED_OK / BPW_PUBLISHED_BY
-//                               / BPW_SEQLOCK_STAMP / BPW_GUARDED_BY and
-//                               whose site has no BPW_RELAXED_OK(reason)
-//                               statement or allow comment.
-//   relaxed-publication-store — a function writes a BPW_PUBLISHED_BY(stamp)
-//                               payload but never publishes the stamp with
-//                               a release-or-stronger store/RMW.
-//   unordered-publication-read— a function reads a published payload but
-//                               never acquire-loads (or fences on) the
-//                               stamp.
-//   torn-seqlock-read         — a reader of a BPW_SEQLOCK_STAMP payload
-//                               lacks the seqlock shape: at least two stamp
-//                               loads and an odd-test (& 1) re-check.
-//   mc-access-unannotated     — a BPW_MC_ACCESS_* site whose object has
-//                               neither a TSA capability annotation nor a
-//                               publication annotation: the race certifier
-//                               watches it but static analysis promises
-//                               nothing.
+//   relaxed-unannotated   — a memory_order_relaxed access whose field
+//                           carries no BPW_RELAXED_OK / BPW_GUARDED_BY and
+//                           whose site has no BPW_RELAXED_OK(reason)
+//                           statement.
+//   mc-access-unannotated — a BPW_MC_ACCESS_* site whose object has neither
+//                           a TSA capability annotation nor BPW_RELAXED_OK:
+//                           the race certifier watches it but static
+//                           analysis promises nothing.
+//
+// Findings come back unsuppressed; bpw_check applies bpw-lint-allow.
 #pragma once
 
 #include <vector>
@@ -32,17 +23,13 @@
 namespace bpw {
 namespace analysis {
 
-struct AtomicsOptions {
-  /// Treat every file as library code (the seeded-violation corpus runs
-  /// with this; the tree run scopes to src/ minus src/sync/).
-  bool all_files_lib = false;
-  /// Report findings even at bpw-lint-allow sites (--audit-allows needs
-  /// the unsuppressed set to spot stale allows).
-  bool ignore_allows = false;
-};
+extern const char* const kAtomicsRules[2];
 
+/// `all_files_lib` treats every file as library code (the seeded-violation
+/// corpus runs with it); by default the rules cover src/ minus src/sync/
+/// and src/analysis/.
 std::vector<Finding> CheckAtomics(const TreeModel& tree,
-                                  const AtomicsOptions& opts = {});
+                                  bool all_files_lib = false);
 
 }  // namespace analysis
 }  // namespace bpw

@@ -1,9 +1,8 @@
 // Interprocedural call graph over the scope graph.
 //
-// bpw_lint's critical-section rules are line-local: a helper call hides
-// an allocation or an unbounded loop from every rule. This layer gives
-// the hold-region prover (tools/bpw_holdlint) the call structure it needs
-// to close that hole.
+// A line-local rule cannot see through a helper call: the helper may
+// allocate or loop unboundedly. This layer gives the hold-region prover
+// (hold_cost.h) the call structure it needs to close that hole.
 //
 // Nodes are functions keyed by qualified name (declaration and definition
 // join exactly as in TreeModel::function_annotations; overloads share a

@@ -8,11 +8,9 @@ namespace analysis {
 
 namespace {
 
-// The direct-effect name tables. These mirror bpw_lint's line-regex
-// tables (tools/lint/lint.cc) where the two overlap, then widen where a
-// token scan can afford to be more precise than a line regex (member
-// calls require an actual `.`/`->` receiver here, so `insert`/`emplace`
-// can be classified without false-firing on declarations).
+// The direct-effect name tables. Member calls require an actual `.`/`->`
+// receiver, so `insert`/`emplace` can be classified without false-firing
+// on declarations.
 const std::set<std::string>& AllocFreeCalls() {
   static const std::set<std::string> s = {
       "malloc", "calloc", "realloc", "strdup", "make_unique", "make_shared"};
@@ -40,14 +38,19 @@ const std::set<std::string>& IoCalls() {
       "fflush", "fscanf", "fseek", "fsync", "pread", "pwrite"};
   return s;
 }
+// The raw contention-profiler primitives imply clock reads that, unlike
+// the BPW_PROF_* macro spellings, cannot compile out at the call site.
 const std::set<std::string>& ClockCalls() {
-  static const std::set<std::string> s = {"NowNanos", "clock_gettime",
-                                          "gettimeofday", "rdtsc"};
+  static const std::set<std::string> s = {
+      "NowNanos",       "clock_gettime",     "gettimeofday",   "rdtsc",
+      "ProfRecordAcquire", "ProfRecordHold", "ProfWaiterEnter",
+      "ProfWaiterExit"};
   return s;
 }
 const std::set<std::string>& ClockIdents() {
   static const std::set<std::string> s = {"steady_clock", "system_clock",
-                                          "high_resolution_clock"};
+                                          "high_resolution_clock",
+                                          "ScopedProfPhase"};
   return s;
 }
 
@@ -63,8 +66,8 @@ bool IsMemberAccess(const std::vector<Token>& toks, size_t i) {
 
 /// 1-based lines carrying a BPW_PROF_* macro token: the sanctioned way to
 /// read clocks in a critical section (the reads vanish under -DBPW_PROF=0),
-/// so clock classification skips these lines — same exemption bpw_lint's
-/// clock rule grants, scoped to the line.
+/// so clock classification skips these lines (the exemption is scoped to
+/// the line).
 std::set<int> ProfExemptLines(const FileModel& fm) {
   std::set<int> lines;
   for (const Token& t : fm.lex.tokens) {

@@ -4,10 +4,10 @@
 // may-do-IO, may-log, may-read-clocks, may-loop-unbounded, plus the
 // conservative "indirect call" bit for targets the call graph cannot
 // enumerate (function pointers / std::function — treated as
-// may-everything). Direct effects come from the same name tables
-// bpw_lint's line-local rules use, so the prover is exactly "bpw_lint's
-// rules, made transitive"; summaries then propagate caller-ward over the
-// call graph: Tarjan SCC condensation, processed callees-first, with
+// may-everything). Direct effects come from name tables (allocator calls,
+// waits and sleeps, file IO, BPW_LOG_*, clock reads including the raw
+// contention-profiler primitives); summaries then propagate caller-ward
+// over the call graph: Tarjan SCC condensation, processed callees-first, with
 // every member of a recursion cycle receiving the union of the cycle's
 // effects.
 //

@@ -13,5 +13,11 @@ struct Finding {
   std::string message;
 };
 
+/// Renders "file:line: [rule] message".
+inline std::string FormatFinding(const Finding& f) {
+  return f.file + ":" + std::to_string(f.line) + ": [" + f.rule + "] " +
+         f.message;
+}
+
 }  // namespace analysis
 }  // namespace bpw

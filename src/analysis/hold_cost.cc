@@ -62,13 +62,6 @@ bool IsLibPath(const std::string& path) {
          path.find("src/analysis/") == std::string::npos;
 }
 
-std::string StripQuotes(const std::string& s) {
-  if (s.size() >= 2 && s.front() == '"' && s.back() == '"') {
-    return s.substr(1, s.size() - 2);
-  }
-  return s;
-}
-
 bool NextIs(const std::vector<Token>& toks, size_t i, const char* text) {
   return i + 1 < toks.size() && toks[i + 1].kind == TokKind::kPunct &&
          toks[i + 1].text == text;
@@ -169,15 +162,16 @@ const char* BitRule(unsigned bit) {
 class HoldChecker {
  public:
   HoldChecker(const TreeModel& tree, const CallGraph& cg,
-              const EffectMap& effects, const HoldOptions& opts)
-      : tree_(tree), cg_(cg), effects_(effects), opts_(opts) {}
+              const EffectMap& effects, bool all_files_lib)
+      : tree_(tree), cg_(cg), effects_(effects),
+        all_files_lib_(all_files_lib) {}
 
   HoldReport Run() {
     CollectLocks();
     CollectProfLabels();
     ComputeCosts();
     for (const FileModel& fm : tree_.files) {
-      if (!opts_.all_files_lib && !IsLibPath(fm.path)) continue;
+      if (!all_files_lib_ && !IsLibPath(fm.path)) continue;
       for (const FunctionDecl& fn : fm.functions) {
         if (!fn.has_body) continue;
         ScanFunction(fm, fn);
@@ -201,11 +195,7 @@ class HoldChecker {
     auto add = [&](const FieldDecl& f) {
       if (!IsHoldLockType(f.type_text)) return;
       HoldLock d;
-      const Annotation* cls = f.FindAnnotation("BPW_LOCK_CLASS");
-      d.lock_class = cls != nullptr
-                         ? StripQuotes(cls->args)
-                         : (f.owner.empty() ? "::" + f.name
-                                            : f.owner + "::" + f.name);
+      d.lock_class = f.owner.empty() ? "::" + f.name : f.owner + "::" + f.name;
       locks_[&f] = d;
     };
     for (const FileModel& fm : tree_.files) {
@@ -411,9 +401,9 @@ class HoldChecker {
                               const std::string& member) const {
     const FieldDecl* f = ResolveFieldRef(tree_, fn, context, receiver, member);
     if (f == nullptr) {
-      // Same unique-lock-class fallback the lock-order layer uses: a name
-      // that is hold-lock-typed everywhere it appears and always means one
-      // class resolves (every coordinator calls its lock "lock_").
+      // Same unique-lock fallback the lock-order layer uses: a name that
+      // is hold-lock-typed everywhere it appears and always means one lock
+      // resolves.
       const FieldDecl* found = nullptr;
       std::set<std::string> classes;
       auto range = tree_.fields_by_name.equal_range(member);
@@ -467,7 +457,6 @@ class HoldChecker {
 
   void AddFinding(const FileModel& fm, int line, const std::string& rule,
                   const std::string& message) {
-    if (!opts_.ignore_allows && fm.lex.Allowed(line - 1, rule)) return;
     const std::string key =
         fm.path + ":" + std::to_string(line) + ":" + rule;
     if (!finding_keys_.insert(key).second) return;
@@ -777,7 +766,7 @@ class HoldChecker {
   const TreeModel& tree_;
   const CallGraph& cg_;
   const EffectMap& effects_;
-  const HoldOptions opts_;
+  const bool all_files_lib_;
   HoldReport report_;
   std::set<std::string> finding_keys_;
   std::map<const FieldDecl*, HoldLock> locks_;
@@ -789,8 +778,8 @@ class HoldChecker {
 }  // namespace
 
 HoldReport CheckHolds(const TreeModel& tree, const CallGraph& cg,
-                      const EffectMap& effects, const HoldOptions& opts) {
-  return HoldChecker(tree, cg, effects, opts).Run();
+                      const EffectMap& effects, bool all_files_lib) {
+  return HoldChecker(tree, cg, effects, all_files_lib).Run();
 }
 
 std::string HoldCostsToJson(const HoldReport& report) {

@@ -1,4 +1,4 @@
-// Hold-region prover + static hold-cost model (the bpw_holdlint engine).
+// Hold-region prover + static hold-cost model (a bpw_check module).
 //
 // A hold region is every token range over which a ContentionLock or
 // SpinLock is held: lexical guards (ContentionLockGuard / SpinLockGuard /
@@ -14,9 +14,8 @@
 // effect summaries (effects.h) over the call graph, that nothing
 // allocates, blocks, does IO, logs, reads clocks, loops unboundedly, or
 // escapes through an indirect call — transitively, through any chain of
-// helpers and virtual dispatch. bpw_lint enforces the same contract one
-// line at a time; this layer is what closes the "hide it in a helper"
-// hole. Two extra rules cover the lock-free hit path: a CAS retry loop
+// helpers and virtual dispatch, so a call hidden in a helper is still
+// seen. Two extra rules cover the lock-free hit path: a CAS retry loop
 // must be bounded (structurally or via BPW_BOUNDED_BY) and must not
 // block, which together prove bounded lock-free retry.
 //
@@ -44,21 +43,12 @@ namespace analysis {
 struct HoldSite {
   std::string function;   ///< qualified enclosing function
   std::string lock_text;  ///< the lock expression as spelled
-  std::string lock_class; ///< BPW_LOCK_CLASS (or owner::field) of the lock
+  std::string lock_class; ///< owner::field of the lock
   std::string prof_label; ///< BindProfSite label, "" when unbound
   std::string file;
   int line = 0;           ///< line the hold opens on
   std::string kind;       ///< guard|adopt|manual|trylock|requires|capability|locked-suffix
   double cost = 0;        ///< static weighted cost of the region
-};
-
-struct HoldOptions {
-  /// Treat every file as library code (corpus runs) instead of the
-  /// default scope: under src/, excluding src/sync/ and src/analysis/.
-  bool all_files_lib = false;
-  /// Report findings even where a bpw-lint-allow comment suppresses them
-  /// (the --audit-allows accounting needs the unsuppressed set).
-  bool ignore_allows = false;
 };
 
 struct HoldReport {
@@ -68,8 +58,11 @@ struct HoldReport {
 
 extern const char* const kHoldRules[9];
 
+/// `all_files_lib` treats every file as library code (corpus runs) instead
+/// of the default scope: under src/, excluding src/sync/ and src/analysis/.
+/// Findings come back unsuppressed; bpw_check applies bpw-lint-allow.
 HoldReport CheckHolds(const TreeModel& tree, const CallGraph& cg,
-                      const EffectMap& effects, const HoldOptions& opts);
+                      const EffectMap& effects, bool all_files_lib = false);
 
 /// {"sites": [{label, lock, lock_class, file, line, function, kind,
 /// weight}, ...]} sorted by descending weight — the input to

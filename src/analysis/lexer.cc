@@ -29,9 +29,10 @@ bool IsEncodingPrefix(const std::string& text) {
   return text == "u" || text == "u8" || text == "U" || text == "L";
 }
 
-void CollectAllows(const std::string& comment_text, int end_line_index,
-                   LexedSource* out) {
+void CollectMarkers(const std::string& comment_text, int end_line_index,
+                    LexedSource* out) {
   static const std::regex kAllow(R"(bpw-lint-allow\(([a-z0-9\-]+)\))");
+  static const std::regex kExpect(R"(bpw-check-expect\(([a-z0-9\-]+)\))");
   static const std::regex kAllowFile(R"(bpw-lint-allow-file\(([a-z0-9\-]+)\))");
   for (auto it = std::sregex_iterator(comment_text.begin(),
                                       comment_text.end(), kAllow);
@@ -52,6 +53,11 @@ void CollectAllows(const std::string& comment_text, int end_line_index,
     out->file_allows.push_back((*it)[1].str());
     out->allow_sites.push_back(AllowSite{end_line_index, (*it)[1].str(), true});
   }
+  for (auto it = std::sregex_iterator(comment_text.begin(),
+                                      comment_text.end(), kExpect);
+       it != std::sregex_iterator(); ++it) {
+    out->expect_sites.push_back(ExpectSite{end_line_index, (*it)[1].str()});
+  }
 }
 
 class Lexer {
@@ -69,7 +75,7 @@ class Lexer {
     }
     // Close any open construct at EOF.
     if (state_ == State::kLineComment || state_ == State::kBlockComment) {
-      CollectAllows(comment_, line_index_, &out_);
+      CollectMarkers(comment_, line_index_, &out_);
     }
     FlushIdent();
     EndLine();
@@ -145,7 +151,7 @@ class Lexer {
 
   /// Literal contents are blanked out of cleaned_lines (so they can't fake
   /// code for the regex rules) but kept on the token: annotation string
-  /// args (`BPW_LOCK_CLASS("shard")`) need the text.
+  /// args (`BPW_RELAXED_OK("reason")`) need the text.
   void AppendToLiteral(char c) {
     if (out_.tokens.empty()) return;
     Token& t = out_.tokens.back();
@@ -165,7 +171,7 @@ class Lexer {
           return;
         }
         if (c == '\n') {
-          CollectAllows(comment_, line_index_, &out_);
+          CollectMarkers(comment_, line_index_, &out_);
           comment_.clear();
           state_ = State::kCode;
           EndLine();
@@ -184,7 +190,7 @@ class Lexer {
           return;
         }
         if (c == '*' && Peek() == '/') {
-          CollectAllows(comment_, line_index_, &out_);
+          CollectMarkers(comment_, line_index_, &out_);
           comment_.clear();
           state_ = return_to_directive_ ? State::kDirective : State::kCode;
           Blank();

@@ -1,8 +1,7 @@
-// Shared lexer for the repo's static-analysis tools (bpw_lint,
-// bpw_atomiclint).
+// Shared lexer for the repo's static checker (bpw_check).
 //
-// bpw_lint started life on a hand-rolled comment/string blanking pass
-// (PR 4). That regex core mishandled exactly the constructs C++ uses to
+// The line rules started life on a hand-rolled comment/string blanking
+// pass. That regex core mishandled exactly the constructs C++ uses to
 // hide code from line-oriented scanners:
 //
 //   - line continuations: a backslash-newline inside a string literal or a
@@ -16,18 +15,20 @@
 //   - raw strings: R"delim(...)delim" containing quotes, `/*`, or code-like
 //     text leaked into the cleaned stream.
 //
-// This lexer is the single tokenization pass both tools now share. It
-// produces, in one scan that never loses physical line structure:
+// This lexer is the single tokenization pass every checker module shares.
+// It produces, in one scan that never loses physical line structure:
 //
 //   - `tokens`: identifiers / numbers / punctuation with 1-based line and
 //     column (string and char literals are single tokens carrying their
-//     contents, so annotation args like BPW_LOCK_CLASS("shard") survive);
+//     contents, so annotation args like BPW_RELAXED_OK("reason") survive);
 //   - `cleaned_lines`: the source with comments, string/char contents, and
 //     preprocessor directives blanked to spaces — one output line per
 //     physical input line, always — for the line-regex rule layer;
 //   - `line_allows` / `file_allows`: the `bpw-lint-allow(...)` /
 //     `bpw-lint-allow-file(...)` suppressions collected from comments,
-//     plus the raw `allow_sites` list the --audit-allows mode consumes.
+//     plus the raw `allow_sites` list the stale-allow audit consumes;
+//   - `expect_sites`: the expectation markers of a seeded-violation corpus
+//     file (`bpw-check-expect(...)` comments), for --check-expectations.
 #pragma once
 
 #include <string>
@@ -60,6 +61,13 @@ struct AllowSite {
   bool file_scope = false;
 };
 
+/// One bpw-check-expect comment: `rule` must fire on 0-based line `line`
+/// (the line the comment ends on) or the next one.
+struct ExpectSite {
+  int line = 0;
+  std::string rule;
+};
+
 struct LexedSource {
   std::vector<Token> tokens;
   std::vector<std::string> cleaned_lines;
@@ -67,6 +75,7 @@ struct LexedSource {
   std::vector<std::vector<std::string>> line_allows;
   std::vector<std::string> file_allows;
   std::vector<AllowSite> allow_sites;
+  std::vector<ExpectSite> expect_sites;
 
   /// True if `rule` is suppressed on 0-based line index `line_index`.
   bool Allowed(int line_index, const std::string& rule) const;

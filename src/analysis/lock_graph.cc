@@ -32,13 +32,6 @@ bool IsLockTyped(const std::string& type_text) {
   return false;
 }
 
-std::string StripQuotes(const std::string& s) {
-  if (s.size() >= 2 && s.front() == '"' && s.back() == '"') {
-    return s.substr(1, s.size() - 2);
-  }
-  return s;
-}
-
 bool IsBlockingGuard(const std::string& t) {
   return t == "ContentionLockGuard" || t == "MutexGuard" ||
          t == "SpinLockGuard";
@@ -55,8 +48,7 @@ struct Held {
 
 class GraphBuilder {
  public:
-  GraphBuilder(const TreeModel& tree, bool honor_allows)
-      : tree_(tree), honor_allows_(honor_allows) {}
+  explicit GraphBuilder(const TreeModel& tree) : tree_(tree) {}
 
   LockGraph Build() {
     CollectLocks();
@@ -67,7 +59,6 @@ class GraphBuilder {
       }
     }
     RunCycleRule();
-    RunLeafRule();
     return std::move(graph_);
   }
 
@@ -78,9 +69,6 @@ class GraphBuilder {
       LockDecl d;
       d.field = &f;
       d.id = f.owner.empty() ? "::" + f.name : f.owner + "::" + f.name;
-      const Annotation* cls = f.FindAnnotation("BPW_LOCK_CLASS");
-      d.lock_class = cls != nullptr ? StripQuotes(cls->args) : d.id;
-      d.leaf = f.HasAnnotation("BPW_LOCK_LEAF");
       by_field_[&f] = graph_.locks.size();
       graph_.locks.push_back(d);
     };
@@ -89,15 +77,6 @@ class GraphBuilder {
         for (const FieldDecl& f : t.fields) add(f);
       }
       for (const FieldDecl& f : fm.globals) add(f);
-    }
-    // Leaf-ness is a property of the class: one annotated member marks
-    // every lock merged into that class.
-    std::set<std::string> leaf_classes;
-    for (const LockDecl& d : graph_.locks) {
-      if (d.leaf) leaf_classes.insert(d.lock_class);
-    }
-    for (LockDecl& d : graph_.locks) {
-      d.leaf = leaf_classes.count(d.lock_class) > 0;
     }
   }
 
@@ -127,8 +106,6 @@ class GraphBuilder {
     }
   }
 
-  const LockDecl* Lock(size_t idx) const { return &graph_.locks[idx]; }
-
   bool ResolveLock(const FunctionDecl* fn, const std::string& context,
                    const std::string& receiver, const std::string& member,
                    size_t* out) const {
@@ -136,18 +113,18 @@ class GraphBuilder {
         ResolveFieldRef(tree_, fn, context, receiver, member);
     if (f == nullptr) {
       // ResolveMember refuses ambiguous names; for locks, a name that is
-      // lock-typed everywhere it appears and maps to ONE lock class is
-      // still usable (every coordinator calls its own lock "lock_").
+      // lock-typed everywhere it appears and names ONE lock is still
+      // usable.
       const FieldDecl* found = nullptr;
-      std::set<std::string> classes;
+      std::set<std::string> ids;
       auto range = tree_.fields_by_name.equal_range(member);
       for (auto it = range.first; it != range.second; ++it) {
         auto bf = by_field_.find(it->second);
         if (bf == by_field_.end()) return false;
-        classes.insert(graph_.locks[bf->second].lock_class);
+        ids.insert(graph_.locks[bf->second].id);
         found = it->second;
       }
-      if (found == nullptr || classes.size() != 1) return false;
+      if (found == nullptr || ids.size() != 1) return false;
       f = found;
     }
     auto it = by_field_.find(f);
@@ -189,12 +166,11 @@ class GraphBuilder {
                       const std::string& file, int line,
                       const std::string& note, int depth) {
     for (const Held& h : *held) {
-      // Same-class edges are kept: two instances of one class (two shards)
-      // acquired together is exactly the deadlock shape the class
-      // collapse is meant to expose.
+      // Self edges are kept: two instances of one lock field (two
+      // elements of a lock array) acquired together is a deadlock shape.
       LockEdge e;
-      e.from_class = graph_.locks[h.lock].lock_class;
-      e.to_class = Lock(lock)->lock_class;
+      e.from = graph_.locks[h.lock].id;
+      e.to = graph_.locks[lock].id;
       e.file = file;
       e.line = line;
       e.try_edge = try_edge;
@@ -344,32 +320,26 @@ class GraphBuilder {
 
   void AddFinding(const std::string& file, int line, const std::string& rule,
                   const std::string& message) {
-    if (honor_allows_) {
-      for (const FileModel& fm : tree_.files) {
-        if (fm.path == file && fm.lex.Allowed(line - 1, rule)) return;
-      }
-    }
     graph_.findings.push_back({file, line, rule, message});
   }
 
   void RunCycleRule() {
-    // Adjacency over blocking edges, collapsed to classes.
+    // Adjacency over blocking edges.
     std::map<std::string, std::vector<const LockEdge*>> adj;
     std::set<std::string> self_reported;
     for (const LockEdge& e : graph_.edges) {
       if (e.try_edge) continue;
-      if (e.from_class == e.to_class) {
-        // A blocking same-class edge is already a two-thread deadlock:
-        // each holds one instance and blocks on the other's.
-        if (self_reported.insert(e.from_class).second) {
+      if (e.from == e.to) {
+        // A blocking self edge is already a two-thread deadlock: each
+        // holds one instance and blocks on the other's.
+        if (self_reported.insert(e.from).second) {
           AddFinding(e.file, e.line, "lock-order-cycle",
-                     "lock-order cycle " + e.from_class + " -> " +
-                         e.to_class + " (same-class blocking acquisition, " +
-                         e.note + ")");
+                     "lock-order cycle " + e.from + " -> " + e.to +
+                         " (same-lock blocking acquisition, " + e.note + ")");
         }
         continue;
       }
-      adj[e.from_class].push_back(&e);
+      adj[e.from].push_back(&e);
     }
     std::map<std::string, int> color;  // 0 white, 1 grey, 2 black
     std::vector<const LockEdge*> path;
@@ -378,19 +348,19 @@ class GraphBuilder {
         [&](const std::string& node) {
           color[node] = 1;
           for (const LockEdge* e : adj[node]) {
-            if (color[e->to_class] == 1) {
+            if (color[e->to] == 1) {
               // Reconstruct the cycle from the path tail.
-              std::string desc = e->to_class;
+              std::string desc = e->to;
               std::string sites = e->file + ":" + std::to_string(e->line);
               bool in_cycle = false;
               for (const LockEdge* p : path) {
-                if (p->from_class == e->to_class) in_cycle = true;
+                if (p->from == e->to) in_cycle = true;
                 if (in_cycle) {
-                  desc += " -> " + p->to_class;
+                  desc += " -> " + p->to;
                   sites += ", " + p->file + ":" + std::to_string(p->line);
                 }
               }
-              desc += " -> " + e->to_class;
+              desc += " -> " + e->to;
               if (reported.insert(desc).second) {
                 AddFinding(e->file, e->line, "lock-order-cycle",
                            "lock-order cycle " + desc + " (acquire sites: " +
@@ -398,37 +368,20 @@ class GraphBuilder {
               }
               continue;
             }
-            if (color[e->to_class] == 0) {
+            if (color[e->to] == 0) {
               path.push_back(e);
-              dfs(e->to_class);
+              dfs(e->to);
               path.pop_back();
             }
           }
           color[node] = 2;
         };
     for (const LockDecl& d : graph_.locks) {
-      if (color[d.lock_class] == 0) dfs(d.lock_class);
-    }
-  }
-
-  void RunLeafRule() {
-    std::set<std::string> leaf_classes;
-    for (const LockDecl& d : graph_.locks) {
-      if (d.leaf) leaf_classes.insert(d.lock_class);
-    }
-    for (const LockEdge& e : graph_.edges) {
-      if (e.try_edge || leaf_classes.count(e.from_class) == 0) continue;
-      AddFinding(e.file, e.line, "leaf-lock-acquires",
-                 "blocking acquisition of '" + e.to_class +
-                     "' while holding leaf lock class '" + e.from_class +
-                     "' (" + e.note +
-                     "); leaf classes must have zero blocking out-degree — "
-                     "use TryLock with a fallback");
+      if (color[d.id] == 0) dfs(d.id);
     }
   }
 
   const TreeModel& tree_;
-  const bool honor_allows_;
   LockGraph graph_;
   std::map<const FieldDecl*, size_t> by_field_;
   /// unqualified name -> [(context class, ACQUIRE args)]
@@ -438,8 +391,8 @@ class GraphBuilder {
 
 }  // namespace
 
-LockGraph BuildLockGraph(const TreeModel& tree, bool honor_allows) {
-  return GraphBuilder(tree, honor_allows).Build();
+LockGraph BuildLockGraph(const TreeModel& tree) {
+  return GraphBuilder(tree).Build();
 }
 
 std::string LockGraphToDot(const LockGraph& graph) {
@@ -447,16 +400,14 @@ std::string LockGraphToDot(const LockGraph& graph) {
                     "  node [shape=box, fontname=\"Helvetica\"];\n";
   std::set<std::string> emitted;
   for (const LockDecl& d : graph.locks) {
-    if (!emitted.insert(d.lock_class).second) continue;
-    out += "  \"" + d.lock_class + "\"";
-    if (d.leaf) out += " [peripheries=2, color=\"#2b6cb0\"]";
-    out += ";\n";
+    if (!emitted.insert(d.id).second) continue;
+    out += "  \"" + d.id + "\";\n";
   }
   // Merge duplicate (from, to, kind) edges, keep one example site.
   std::map<std::string, std::pair<const LockEdge*, int>> merged;
   for (const LockEdge& e : graph.edges) {
     const std::string key =
-        e.from_class + "\x01" + e.to_class + "\x01" + (e.try_edge ? "t" : "b");
+        e.from + "\x01" + e.to + "\x01" + (e.try_edge ? "t" : "b");
     auto it = merged.find(key);
     if (it == merged.end()) {
       merged[key] = {&e, 1};
@@ -471,7 +422,7 @@ std::string LockGraphToDot(const LockGraph& graph) {
     const size_t slash = label.rfind('/');
     if (slash != std::string::npos) label = label.substr(slash + 1);
     if (count > 1) label += " (+" + std::to_string(count - 1) + ")";
-    out += "  \"" + e.from_class + "\" -> \"" + e.to_class + "\" [label=\"" +
+    out += "  \"" + e.from + "\" -> \"" + e.to + "\" [label=\"" +
            label + "\"";
     if (e.try_edge) out += ", style=dashed";
     out += "];\n";

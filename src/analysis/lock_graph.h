@@ -1,12 +1,8 @@
 // Lock-acquisition order graph over the whole tree.
 //
-// Nodes are *lock classes*: every field of a sync capability type
-// (ContentionLock / SpinLock / Mutex) forms a class named by its
-// declaration ("Owner::name"), unless BPW_LOCK_CLASS("name") merges it
-// into a shared class (e.g. every per-shard lock is one "shard" class —
-// instances are interchangeable for ordering purposes, which is exactly
-// the approximation under which a shard→shard edge means a real deadlock
-// risk).
+// Nodes are lock declarations: every field of a sync capability type
+// (ContentionLock / SpinLock / Mutex), named "Owner::name" ("::name" for
+// globals).
 //
 // Edges are acquisition sites observed while another lock is held: guard
 // constructions, manual .Lock()/.lock() calls, and calls to functions
@@ -16,11 +12,8 @@
 // whitelisted in the acyclicity proof and rendered dashed in the DOT
 // export.
 //
-// Rules:
-//   lock-order-cycle    — a cycle among blocking edges.
-//   leaf-lock-acquires  — a blocking edge out of a BPW_LOCK_LEAF class
-//                         (a "never two shard locks" invariant is
-//                         encoded as leaf-ness of the shard class).
+// Rule:
+//   lock-order-cycle — a cycle among blocking edges.
 #pragma once
 
 #include <string>
@@ -35,14 +28,12 @@ namespace analysis {
 /// One lock-typed declaration.
 struct LockDecl {
   const FieldDecl* field = nullptr;
-  std::string id;          ///< "Owner::name" or "::name" for globals
-  std::string lock_class;  ///< BPW_LOCK_CLASS arg, else id
-  bool leaf = false;       ///< BPW_LOCK_LEAF present
+  std::string id;  ///< "Owner::name" or "::name" for globals
 };
 
 struct LockEdge {
-  std::string from_class;
-  std::string to_class;
+  std::string from;  ///< LockDecl::id
+  std::string to;
   std::string file;
   int line = 0;
   bool try_edge = false;
@@ -55,13 +46,12 @@ struct LockGraph {
   std::vector<Finding> findings;
 };
 
-/// Builds the graph and runs the cycle / leaf rules. Findings honour
-/// bpw-lint-allow comments in the underlying sources unless
-/// `honor_allows` is false (the allow audit wants the unsuppressed set).
-LockGraph BuildLockGraph(const TreeModel& tree, bool honor_allows = true);
+/// Builds the graph and runs the cycle rule. Findings come back
+/// unsuppressed; bpw_check applies bpw-lint-allow.
+LockGraph BuildLockGraph(const TreeModel& tree);
 
-/// Graphviz rendering: one node per lock class (doubled border for leaf
-/// classes), solid blocking edges, dashed try edges.
+/// Graphviz rendering: one node per lock, solid blocking edges, dashed try
+/// edges.
 std::string LockGraphToDot(const LockGraph& graph);
 
 }  // namespace analysis

@@ -1,11 +1,11 @@
-// SARIF 2.1.0 writer shared by bpw_lint, bpw_atomiclint, and bpw_holdlint.
+// SARIF 2.1.0 writer for bpw_check.
 //
 // GitHub code scanning ingests SARIF, so CI can surface linter findings as
 // inline pull-request annotations instead of buried job logs. The writer
 // emits the minimal valid document: one run, the tool driver with its rule
 // ids, and one result per finding at error level with a single physical
 // location. File paths are emitted as given (repo-relative when the
-// linters are invoked from the repo root, which is how CI runs them).
+// checker is invoked from the repo root, which is how CI runs them).
 #pragma once
 
 #include <string>

@@ -5,8 +5,7 @@
 //   - every type scope (class/struct/union/enum), with its qualified name
 //     and the member fields declared in it — each field carrying the
 //     analysis annotations attached to its declarator (BPW_GUARDED_BY,
-//     BPW_PUBLISHED_BY, BPW_SEQLOCK_STAMP, BPW_RELAXED_OK, BPW_LOCK_CLASS,
-//     BPW_LOCK_LEAF, ...);
+//     BPW_RELAXED_OK, ...);
 //   - every function declaration and definition, with its qualifier
 //     (enclosing class or A::B:: spelling), trailing annotation macros
 //     (BPW_REQUIRES, BPW_ACQUIRE, BPW_EXCLUDES, ...), and — for

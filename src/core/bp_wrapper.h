@@ -143,7 +143,7 @@ class BpWrapperCoordinator : public Coordinator {
                                 "per commit, only when tracing is on");
 
   /// Post-commit phase shared by every path: folds `out` into the
-  /// counters. Must run WITHOUT lock_ held — the bpw_lint
+  /// counters. Must run WITHOUT lock_ held — bpw_check's
   /// post-commit-under-lock rule exists to keep it that way.
   void PostCommitBookkeeping(const DrainOutcome& out) BPW_EXCLUDES(lock_)
       BPW_HOLD_EFFECT_OK(clock,

@@ -43,8 +43,8 @@ void SharedQueueCoordinator::CommitLocked() {
   // (but under the policy lock held by the caller). The member scratch
   // buffer and the queue ping-pong their allocations: after the first few
   // commits no memory is ever allocated while the lock is held (the naive
-  // version reserved a fresh vector here every commit, which bpw_lint's
-  // critical-section-alloc rule now rejects).
+  // version reserved a fresh vector here every commit, which bpw_check's
+  // hold-alloc rule now rejects).
   batch_.clear();
   {
     BPW_PROF_PHASE("queue_drain");

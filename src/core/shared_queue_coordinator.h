@@ -92,7 +92,7 @@ class SharedQueueCoordinator : public Coordinator {
   std::vector<AccessQueue::Entry> queue_ BPW_GUARDED_BY(queue_lock_);
   // Commit-time scratch: CommitLocked swaps the shared queue into this
   // buffer and replays from it, so the buffers ping-pong and the critical
-  // section never allocates (bpw_lint: critical-section-alloc).
+  // section never allocates (bpw_check: hold-alloc).
   std::vector<AccessQueue::Entry> batch_ BPW_GUARDED_BY(lock_);
   std::atomic<uint64_t> queue_acquisitions_{0} BPW_RELAXED_OK("stats counter");
   // Declared last so it unregisters before anything it reads is destroyed.

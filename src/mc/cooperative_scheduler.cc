@@ -8,12 +8,6 @@
 // the instrumented bpw wrappers would recurse every hook straight back
 // into the scheduler. See the class comment.
 // bpw-lint-allow-file(raw-mutex)
-//
-// The *Locked suffix in this file refers to that monitor, not to a
-// ContentionLock: hold times here are test-harness bookkeeping (exactly
-// one worker runs at a time by design), so the critical-section hygiene
-// rules for the production lock do not apply.
-// bpw-lint-allow-file(critical-section-alloc)
 
 namespace bpw {
 namespace mc {

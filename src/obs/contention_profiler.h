@@ -142,8 +142,9 @@ void EmitProfTraceCounters(uint64_t now_nanos);
 void ResetProfiler();
 
 /// RAII phase scope. Use through BPW_PROF_PHASE so BPW_PROF=0 builds erase
-/// the scope (and its clock reads) entirely; bpw_lint flags direct
-/// ScopedProfPhase construction inside critical sections for this reason.
+/// the scope (and its clock reads) entirely; bpw_check's hold prover flags
+/// direct ScopedProfPhase construction inside critical sections for this
+/// reason.
 class ScopedProfPhase {
  public:
   explicit ScopedProfPhase(ProfSiteId site);
@@ -177,7 +178,7 @@ class ScopedProfPhase {
 
 /// Opens a nestable profiling phase covering the rest of the enclosing
 /// scope. Sanctioned inside critical sections (the clock reads it implies
-/// are the measurement itself and vanish under BPW_PROF=0) — bpw_lint
+/// are the measurement itself and vanish under BPW_PROF=0) — bpw_check
 /// recognizes exactly this spelling.
 #define BPW_PROF_PHASE(label)                                            \
   static const ::bpw::obs::ProfSiteId BPW_PROF_PHASE_CAT(                \

@@ -235,7 +235,7 @@ StatusOr<std::string> ReconcileHoldCosts(const std::string& costs_json,
   if (sites == nullptr || !sites->is_array()) {
     return Status::InvalidArgument(
         "not a static-costs document: no \"sites\" array (expected the "
-        "JSON from bpw_holdlint --costs)");
+        "JSON from bpw_check --costs)");
   }
 
   // Static side: label -> max hold-site weight. Sites without a profiler

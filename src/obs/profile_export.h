@@ -56,7 +56,7 @@ bool WriteTextFile(const std::string& path, const std::string& content);
 /// Static×dynamic hold-time reconciliation (`bpw_profile --reconcile`).
 ///
 /// `costs_json` is the per-hold-site static cost file written by
-/// `bpw_holdlint --costs`; `snapshot` is a measured contention report.
+/// `bpw_check --costs`; `snapshot` is a measured contention report.
 /// Joins the two on the profiler label (a hold site inherits the label its
 /// lock bound with BindProfSite; a lock's static weight is the MAX over
 /// its hold sites — the worst critical section dominates how long the lock
@@ -66,7 +66,7 @@ bool WriteTextFile(const std::string& path, const std::string& content);
 /// the static model mis-weighs that section (loops the cost model cannot
 /// see through, say) or the workload never exercises the statically-heavy
 /// path; both are worth a look before trusting either ranking.
-/// Fails only if `costs_json` is not a bpw_holdlint costs document.
+/// Fails only if `costs_json` is not a bpw_check costs document.
 StatusOr<std::string> ReconcileHoldCosts(const std::string& costs_json,
                                          const ProfSnapshot& snapshot);
 

@@ -77,39 +77,18 @@
   BPW_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 // ---------------------------------------------------------------------------
-// Layer-2 annotations, read by tools/bpw_atomiclint (not by clang).
+// Analyzer-only annotations, read by tools/bpw_check (not by clang).
 //
 // Clang's -Wthread-safety proves lock *coverage*; it says nothing about the
-// lock-free paths. These macros declare the memory-ordering protocol those
-// paths rely on, and bpw_atomiclint checks the declared shape against the
-// code. All of them expand to nothing under every compiler — they exist for
-// the analyzer and for the reader.
+// lock-free paths or about what a critical section costs. These macros
+// state what the checker cannot infer. All of them expand to nothing under
+// every compiler — they exist for the analyzer and for the reader.
 //
-//   BPW_PUBLISHED_BY(stamp)  this atomic field is payload published by a
-//                            release-or-stronger write of `stamp` (a sibling
-//                            field). Relaxed accesses to the payload are
-//                            legal; in exchange, every function that writes
-//                            it must release-publish the stamp, and every
-//                            function that reads it must acquire-observe the
-//                            stamp (or an acquire fence).
-//   BPW_SEQLOCK_STAMP        this atomic field is a seqlock version counter:
-//                            odd while a writer is mid-flight. Readers of
-//                            payload published by it must load it at least
-//                            twice and test oddness (`v & 1`).
 //   BPW_RELAXED_OK(reason)   memory_order_relaxed on this field (or, as a
 //                            standalone statement, on this line and the
 //                            next) is deliberate — say why.
-//   BPW_LOCK_CLASS(name)     merge this lock field into the named ordering
-//                            class (e.g. per-shard locks as one "shard"
-//                            class: instances are interchangeable for
-//                            deadlock purposes).
-//   BPW_LOCK_LEAF            no blocking acquisition is permitted while a
-//                            lock of this class is held. Encodes rules like
-//                            "never two shard locks" as a checkable
-//                            zero-out-degree rule.
 //
-// Layer-3 annotations, read by tools/bpw_holdlint (the interprocedural
-// critical-section prover):
+// For the interprocedural critical-section prover:
 //
 //   BPW_BOUNDED_BY(expr)     placed on (or on the line above) a loop that
 //                            is not structurally bounded: `expr` names the
@@ -130,10 +109,6 @@
 //                            justification; prefer restructuring over
 //                            annotating.
 // ---------------------------------------------------------------------------
-#define BPW_PUBLISHED_BY(stamp)  // analyzer-only
-#define BPW_SEQLOCK_STAMP        // analyzer-only
 #define BPW_RELAXED_OK(reason)   // analyzer-only
-#define BPW_LOCK_CLASS(name)     // analyzer-only
-#define BPW_LOCK_LEAF            // analyzer-only
 #define BPW_BOUNDED_BY(expr)     // analyzer-only
 #define BPW_HOLD_EFFECT_OK(effect, reason)  // analyzer-only

@@ -188,20 +188,35 @@ TEST(LexerTest, AllowCommentsAttachToLineAndFile) {
   EXPECT_EQ(lex.allow_sites[1].rule, "trylock-unchecked");
 }
 
+TEST(LexerTest, ExpectMarkersComeFromCommentsOnly) {
+  // A corpus marker in a comment is an expectation; the same text in a
+  // string literal (a test's embedded snippet) is not.
+  LexedSource lex = Lex(
+      "// bpw-check-expect(hold-alloc) bpw-check-expect(hold-log)\n"
+      "Grow();\n"
+      "const char* s = \"// bpw-check-expect(raw-mutex)\";\n");
+  ASSERT_EQ(lex.expect_sites.size(), 2u);
+  EXPECT_EQ(lex.expect_sites[0].line, 0);
+  EXPECT_EQ(lex.expect_sites[0].rule, "hold-alloc");
+  EXPECT_EQ(lex.expect_sites[1].rule, "hold-log");
+  EXPECT_TRUE(lex.allow_sites.empty());
+}
+
 TEST(LexerTest, StringTokensCarryAnnotationArguments) {
-  // BPW_LOCK_CLASS("shard") only works if the literal's contents survive
-  // on the token — the lock graph names the class from it.
-  LexedSource lex = Lex("ContentionLock l BPW_LOCK_CLASS(\"shard\");\n");
+  // BPW_RELAXED_OK("reason") keeps its reason on the token, where the
+  // annotation args are read from.
+  LexedSource lex =
+      Lex("std::atomic<int> n BPW_RELAXED_OK(\"stats counter\");\n");
   bool saw = false;
   for (const auto& t : lex.tokens) {
     if (t.kind == TokKind::kString) {
       saw = true;
-      EXPECT_EQ(t.text, "shard");
+      EXPECT_EQ(t.text, "stats counter");
     }
   }
   EXPECT_TRUE(saw);
   // ...while the cleaned line blanks it, so greps never match literals.
-  EXPECT_EQ(lex.cleaned_lines[0].find("shard"), std::string::npos);
+  EXPECT_EQ(lex.cleaned_lines[0].find("stats"), std::string::npos);
 }
 
 // ------------------------------------------------------------ scope graph
@@ -213,8 +228,8 @@ struct Histogram {
 };
 struct Cell {
   std::atomic<unsigned long> hits_{0} BPW_RELAXED_OK("stats counter");
-  std::atomic<unsigned> stamp{0} BPW_SEQLOCK_STAMP;
-  std::atomic<unsigned long> page{0} BPW_PUBLISHED_BY(stamp);
+  Mutex mu_;
+  unsigned long page BPW_GUARDED_BY(mu_) = 0;
   std::atomic<unsigned long> buckets[Histogram::kNumBuckets] = {};
 };
 )cpp"}});
@@ -226,7 +241,7 @@ struct Cell {
   EXPECT_EQ(hits->FindAnnotation("BPW_RELAXED_OK")->args, "\"stats counter\"");
   const FieldDecl* page = FindField(cell, "page");
   ASSERT_NE(page, nullptr);
-  EXPECT_EQ(page->FindAnnotation("BPW_PUBLISHED_BY")->args, "stamp");
+  EXPECT_EQ(page->FindAnnotation("BPW_GUARDED_BY")->args, "mu_");
   // The array field is named by its declarator, not by the identifier
   // inside the subscript.
   EXPECT_NE(FindField(cell, "buckets"), nullptr);
@@ -350,17 +365,17 @@ struct Pool {
   LockGraph graph = BuildLockGraph(tree);
   EXPECT_TRUE(graph.findings.empty()) << Dump(graph.findings);
   ASSERT_EQ(graph.edges.size(), 1u);
-  EXPECT_EQ(graph.edges[0].from_class, "Pool::map_mu_");
-  EXPECT_EQ(graph.edges[0].to_class, "Pool::free_mu_");
+  EXPECT_EQ(graph.edges[0].from, "Pool::map_mu_");
+  EXPECT_EQ(graph.edges[0].to, "Pool::free_mu_");
   EXPECT_FALSE(graph.edges[0].try_edge);
 }
 
 TEST(LockGraphTest, TryEdgesAreWhitelistedInTheAcyclicityProof) {
-  // Same-class neighbor probe under a held shard lock: a blocking edge
-  // would be an instant cycle, a TryLock-bounded edge is sanctioned.
+  // Neighbor probe under a held shard lock: a blocking edge would be an
+  // instant cycle, a TryLock-bounded edge is sanctioned.
   TreeModel tree = BuildTree({{"src/x.cc", R"cpp(
 struct Shard {
-  ContentionLock lock BPW_LOCK_CLASS("shard");
+  ContentionLock lock;
 };
 struct Set {
   bool Probe(Shard& a, Shard& b) {
@@ -377,33 +392,12 @@ struct Set {
   EXPECT_TRUE(graph.findings.empty()) << Dump(graph.findings);
   ASSERT_EQ(graph.edges.size(), 1u);
   EXPECT_TRUE(graph.edges[0].try_edge);
-  EXPECT_EQ(graph.edges[0].from_class, "shard");
-  EXPECT_EQ(graph.edges[0].to_class, "shard");
+  EXPECT_EQ(graph.edges[0].from, "Shard::lock");
+  EXPECT_EQ(graph.edges[0].to, "Shard::lock");
   // The DOT export renders the bounded probe dashed.
   const std::string dot = LockGraphToDot(graph);
   EXPECT_NE(dot.find("dashed"), std::string::npos);
-  EXPECT_NE(dot.find("\"shard\""), std::string::npos);
-}
-
-TEST(LockGraphTest, LeafLockMustNotBlockOnAnything) {
-  TreeModel tree = BuildTree({{"src/x.cc", R"cpp(
-struct Shard {
-  ContentionLock lock BPW_LOCK_CLASS("shard") BPW_LOCK_LEAF;
-};
-struct Set {
-  Mutex registry_mu_;
-  void Escalate(Shard& s) {
-    ContentionLockGuard g(s.lock);
-    MutexGuard r(registry_mu_);
-  }
-};
-)cpp"}});
-  LockGraph graph = BuildLockGraph(tree);
-  EXPECT_EQ(Rules(graph.findings),
-            std::vector<std::string>{"leaf-lock-acquires"})
-      << Dump(graph.findings);
-  // Leaf classes render with a doubled border.
-  EXPECT_NE(LockGraphToDot(graph).find("peripheries=2"), std::string::npos);
+  EXPECT_NE(dot.find("\"Shard::lock\""), std::string::npos);
 }
 
 TEST(LockGraphTest, RequiresAnnotationSeedsTheHeldSet) {
@@ -430,11 +424,6 @@ struct Pool {
 
 // ---------------------------------------------------------------- atomics
 
-AtomicsOptions LibEverywhere() {
-  AtomicsOptions opts;
-  opts.all_files_lib = true;
-  return opts;
-}
 
 TEST(AtomicsTest, RelaxedUnannotatedFiresAndAnnotationsSilenceIt) {
   TreeModel tree = BuildTree({{"src/x.cc", R"cpp(
@@ -447,7 +436,7 @@ struct Counters {
   }
 };
 )cpp"}});
-  auto findings = CheckAtomics(tree, LibEverywhere());
+  auto findings = CheckAtomics(tree, /*all_files_lib=*/true);
   ASSERT_EQ(findings.size(), 1u) << Dump(findings);
   EXPECT_EQ(findings[0].rule, "relaxed-unannotated");
   EXPECT_NE(findings[0].message.find("bare_"), std::string::npos);
@@ -466,7 +455,7 @@ struct Counters {
   }
 };
 )cpp"}});
-  auto findings = CheckAtomics(tree, LibEverywhere());
+  auto findings = CheckAtomics(tree, /*all_files_lib=*/true);
   // Reset's store is whitelisted by the site statement; Bump still fires.
   ASSERT_EQ(findings.size(), 1u) << Dump(findings);
   EXPECT_EQ(findings[0].rule, "relaxed-unannotated");
@@ -481,93 +470,7 @@ struct Driver {
   }
 };
 )cpp"}});
-  auto findings = CheckAtomics(tree, LibEverywhere());
-  EXPECT_TRUE(findings.empty()) << Dump(findings);
-}
-
-TEST(AtomicsTest, PublicationStoreWithoutReleaseOnTheStamp) {
-  TreeModel tree = BuildTree({{"src/x.cc", R"cpp(
-struct Slot {
-  std::atomic<unsigned> ready{0} BPW_RELAXED_OK("flag; see publish");
-  std::atomic<unsigned long> payload{0} BPW_PUBLISHED_BY(ready);
-  void BadPublish(unsigned long v) {
-    payload.store(v, std::memory_order_relaxed);
-    ready.store(1, std::memory_order_relaxed);
-  }
-  void GoodPublish(unsigned long v) {
-    payload.store(v, std::memory_order_relaxed);
-    ready.store(1, std::memory_order_release);
-  }
-};
-)cpp"}});
-  auto findings = CheckAtomics(tree, LibEverywhere());
-  ASSERT_EQ(findings.size(), 1u) << Dump(findings);
-  EXPECT_EQ(findings[0].rule, "relaxed-publication-store");
-}
-
-TEST(AtomicsTest, PublicationReadWithoutAcquireOnTheStamp) {
-  TreeModel tree = BuildTree({{"src/x.cc", R"cpp(
-struct Slot {
-  std::atomic<unsigned> ready{0} BPW_RELAXED_OK("flag; see publish");
-  std::atomic<unsigned long> payload{0} BPW_PUBLISHED_BY(ready);
-  unsigned long BadConsume() {
-    if (ready.load(std::memory_order_relaxed) == 0) return 0;
-    return payload.load(std::memory_order_relaxed);
-  }
-  unsigned long GoodConsume() {
-    if (ready.load(std::memory_order_acquire) == 0) return 0;
-    return payload.load(std::memory_order_relaxed);
-  }
-};
-)cpp"}});
-  auto findings = CheckAtomics(tree, LibEverywhere());
-  ASSERT_EQ(findings.size(), 1u) << Dump(findings);
-  EXPECT_EQ(findings[0].rule, "unordered-publication-read");
-}
-
-TEST(AtomicsTest, TornSeqlockReadNeedsTwoLoadsAndAnOddTest) {
-  TreeModel tree = BuildTree({{"src/x.cc", R"cpp(
-struct Slot {
-  std::atomic<unsigned> version{0} BPW_SEQLOCK_STAMP;
-  std::atomic<unsigned long> value{0} BPW_PUBLISHED_BY(version);
-  unsigned long TornRead() {
-    if ((version.load(std::memory_order_acquire) & 1u) != 0) return 0;
-    return value.load(std::memory_order_relaxed);
-  }
-  unsigned long GoodRead() {
-    for (;;) {
-      const unsigned v0 = version.load(std::memory_order_acquire);
-      if ((v0 & 1u) != 0) continue;
-      const unsigned long out = value.load(std::memory_order_relaxed);
-      if (version.load(std::memory_order_acquire) == v0) return out;
-    }
-  }
-};
-)cpp"}});
-  auto findings = CheckAtomics(tree, LibEverywhere());
-  ASSERT_EQ(findings.size(), 1u) << Dump(findings);
-  EXPECT_EQ(findings[0].rule, "torn-seqlock-read");
-  EXPECT_NE(findings[0].message.find("TornRead"), std::string::npos);
-}
-
-TEST(AtomicsTest, OddTestAcceptsIntegerSuffixes) {
-  // `& 1UL` is the same odd-test as `& 1` — the suffix must not break the
-  // seqlock shape detection.
-  TreeModel tree = BuildTree({{"src/x.cc", R"cpp(
-struct Slot {
-  std::atomic<unsigned> version{0} BPW_SEQLOCK_STAMP;
-  std::atomic<unsigned long> value{0} BPW_PUBLISHED_BY(version);
-  unsigned long Read() {
-    for (;;) {
-      const unsigned v0 = version.load(std::memory_order_acquire);
-      if ((v0 & 1UL) != 0) continue;
-      const unsigned long out = value.load(std::memory_order_relaxed);
-      if (version.load(std::memory_order_acquire) == v0) return out;
-    }
-  }
-};
-)cpp"}});
-  auto findings = CheckAtomics(tree, LibEverywhere());
+  auto findings = CheckAtomics(tree, /*all_files_lib=*/true);
   EXPECT_TRUE(findings.empty()) << Dump(findings);
 }
 
@@ -583,21 +486,10 @@ struct Target {
   }
 };
 )cpp"}});
-  auto findings = CheckAtomics(tree, LibEverywhere());
+  auto findings = CheckAtomics(tree, /*all_files_lib=*/true);
   ASSERT_EQ(findings.size(), 1u) << Dump(findings);
   EXPECT_EQ(findings[0].rule, "mc-access-unannotated");
   EXPECT_NE(findings[0].message.find("bare_word"), std::string::npos);
-}
-
-TEST(AtomicsTest, PublishedByMustNameAFieldInScope) {
-  TreeModel tree = BuildTree({{"src/x.cc", R"cpp(
-struct Slot {
-  std::atomic<unsigned long> orphan_{0} BPW_PUBLISHED_BY(no_such_stamp);
-};
-)cpp"}});
-  auto findings = CheckAtomics(tree, LibEverywhere());
-  ASSERT_EQ(findings.size(), 1u) << Dump(findings);
-  EXPECT_EQ(findings[0].rule, "bad-annotation");
 }
 
 TEST(AtomicsTest, RangeForElementInheritsContainerFieldAnnotations) {
@@ -616,7 +508,7 @@ struct Policy {
   }
 };
 )cpp"}});
-  auto findings = CheckAtomics(tree, LibEverywhere());
+  auto findings = CheckAtomics(tree, /*all_files_lib=*/true);
   EXPECT_TRUE(findings.empty()) << Dump(findings);
 }
 
@@ -630,12 +522,13 @@ struct Counters {
   }
 };
 )cpp"}});
-  EXPECT_TRUE(CheckAtomics(tree, LibEverywhere()).empty());
-  AtomicsOptions audit = LibEverywhere();
-  audit.ignore_allows = true;
-  auto unsuppressed = CheckAtomics(tree, audit);
+  // The checker reports unsuppressed (the stale-allow audit needs the
+  // whole set); the allow on the file covers the finding.
+  auto unsuppressed = CheckAtomics(tree, /*all_files_lib=*/true);
   ASSERT_EQ(unsuppressed.size(), 1u) << Dump(unsuppressed);
   EXPECT_EQ(unsuppressed[0].rule, "relaxed-unannotated");
+  EXPECT_TRUE(tree.files[0].lex.Allowed(unsuppressed[0].line - 1,
+                                        unsuppressed[0].rule));
 }
 
 TEST(AtomicsTest, DefaultScopeSkipsTestsAndSyncButCoversSrc) {
@@ -824,8 +717,7 @@ HoldReport RunHolds(const std::string& source) {
   TreeModel tree = BuildTree({{"src/core/a.cc", source}});
   const CallGraph cg = BuildCallGraph(tree);
   const EffectMap effects = ComputeEffects(tree, cg);
-  HoldOptions opts;
-  return CheckHolds(tree, cg, effects, opts);
+  return CheckHolds(tree, cg, effects);
 }
 
 TEST(HoldTest, TransitiveAllocationUnderAGuardFires) {

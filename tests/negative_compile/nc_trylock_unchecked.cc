@@ -16,7 +16,7 @@ namespace bpw {
 
 class Committer {
  public:
-  // VIOLATION: unchecked TryLock(), then unguarded write. bpw_lint flags
+  // VIOLATION: unchecked TryLock(), then unguarded write. bpw_check flags
   // this shape too; it is suppressed here because this file exists to
   // seed the violation for the clang harness.
   void CommitSloppy() {

@@ -5,7 +5,7 @@
 // blocking acquisition, which would silently reintroduce the convoy the
 // lock-free path exists to avoid.
 //
-// Not compiled — analyzed standalone by `bpw_holdlint
+// Not compiled — analyzed standalone by `bpw_check
 // --check-expectations`.
 
 namespace corpus {
@@ -17,7 +17,7 @@ struct CorpusCasRetry {
     unsigned long cur = word_.load();
     while (true) {
       const unsigned long next = cur + delta;
-      // bpw-holdlint-expect(cas-retry-unbounded)
+      // bpw-check-expect(cas-retry-unbounded)
       if (word_.compare_exchange_weak(cur, next)) return next;
     }
   }
@@ -28,7 +28,7 @@ struct CorpusCasRetry {
     while (true) {
       const unsigned long next = cur + delta;
       if (word_.compare_exchange_weak(cur, next)) return true;
-      // bpw-holdlint-expect(cas-retry-blocks)
+      // bpw-check-expect(cas-retry-blocks)
       MutexGuard guard(fallback_mu_);  // a lock-free path must stay lock-free
     }
   }

@@ -2,22 +2,19 @@
 // analyzer starts flagging any line here it has grown a false positive —
 // the corpus gate fails on unexpected findings, not just on missed ones.
 //
-// Not compiled — analyzed standalone by `bpw_atomiclint
+// Not compiled — analyzed standalone by `bpw_check
 // --check-expectations`.
 
 namespace corpus {
 
 struct CorpusCleanPool {
   struct CorpusCleanShard {
-    ContentionLock lock BPW_LOCK_CLASS("corpus-clean-shard") BPW_LOCK_LEAF;
+    ContentionLock lock;
   };
 
   Mutex corpus_clean_map_mu_;
   Mutex corpus_clean_free_mu_;
 
-  std::atomic<unsigned> corpus_clean_stamp{0} BPW_SEQLOCK_STAMP;
-  std::atomic<unsigned long> corpus_clean_page{0} BPW_PUBLISHED_BY(
-      corpus_clean_stamp);
   std::atomic<unsigned long> corpus_clean_hits_{0} BPW_RELAXED_OK(
       "stats counter");
 
@@ -32,37 +29,20 @@ struct CorpusCleanPool {
     MutexGuard free_guard(corpus_clean_free_mu_);
   }
 
-  // A leaf shard lock only ever probes its neighbor with a bounded try.
-  bool LeafProbes(CorpusCleanShard& shard, CorpusCleanShard& neighbor) {
-    ContentionLockGuard shard_guard(shard.lock);
-    corpus_clean_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (neighbor.lock.TryLock()) {
-      neighbor.lock.Unlock();
-      return true;
-    }
-    return false;
-  }
-
-  // Seqlock writer: claim odd, relaxed payload, publish even with release.
-  void Write(unsigned long v) {
-    const unsigned v0 = corpus_clean_stamp.load(std::memory_order_relaxed);
-    corpus_clean_stamp.store(v0 + 1, std::memory_order_relaxed);
-    corpus_clean_page.store(v, std::memory_order_relaxed);
-    corpus_clean_stamp.store(v0 + 2, std::memory_order_release);
-  }
-
-  // Seqlock reader: two acquire loads of the stamp around the payload,
-  // odd-test re-check before trusting the snapshot.
-  unsigned long Read() {
-    for (;;) {
-      const unsigned v0 = corpus_clean_stamp.load(std::memory_order_acquire);
-      if ((v0 & 1u) != 0) continue;
-      const unsigned long out =
-          corpus_clean_page.load(std::memory_order_relaxed);
-      if (corpus_clean_stamp.load(std::memory_order_acquire) == v0) {
-        return out;
+  // A shard lock only ever probes its neighbor with a bounded try, and the
+  // statistics counter is bumped after the guard's scope ends.
+  bool Probes(CorpusCleanShard& shard, CorpusCleanShard& neighbor) {
+    BPW_SCHEDULE_POINT("corpus.probe");
+    bool probed = false;
+    {
+      ContentionLockGuard shard_guard(shard.lock);
+      if (neighbor.lock.TryLock()) {
+        neighbor.lock.Unlock();
+        probed = true;
       }
     }
+    corpus_clean_hits_.fetch_add(1, std::memory_order_relaxed);
+    return probed;
   }
 };
 

@@ -5,9 +5,9 @@
 // order: the map lock is declared first, so the walk enters via map->free
 // and the free->map edge below is the back edge.)
 //
-// Not compiled — analyzed standalone by `bpw_atomiclint
-// --check-expectations` (tools/CMakeLists.txt: bpw_atomiclint_corpus),
-// which requires the findings to match the expect markers exactly.
+// Not compiled — analyzed standalone by `bpw_check
+// --check-expectations` (tools/CMakeLists.txt: bpw_check_corpus), which
+// requires the findings to match the expect markers exactly.
 
 namespace corpus {
 
@@ -17,7 +17,7 @@ struct CorpusCyclePool {
 
   void AllocateThenMap() {
     MutexGuard free_guard(corpus_free_mu_);
-    // bpw-atomiclint-expect(lock-order-cycle)
+    // bpw-check-expect(lock-order-cycle)
     MutexGuard map_guard(corpus_map_mu_);  // free -> map: the back edge
   }
 

@@ -1,11 +1,11 @@
 // Clean control for the hold-cost prover: every discipline the corpus
 // violates, done right. Guards over effect-free callees, a structurally
 // bounded loop, an annotated loop, an exonerated allocation with its
-// audit reason, and the TryLock + adopt-guard fast path. bpw_holdlint
+// audit reason, and the TryLock + adopt-guard fast path. bpw_check
 // must report nothing here — a finding in this file is a false positive
 // regression.
 //
-// Not compiled — analyzed standalone by `bpw_holdlint
+// Not compiled — analyzed standalone by `bpw_check
 // --check-expectations`.
 
 namespace corpus {
@@ -40,11 +40,11 @@ struct CorpusCleanHold {
                          "push_back into capacity reserved at construction; "
                          "steady-state calls never allocate") {
     ContentionLockGuard guard(lock_);
-    // bpw-lint-allow(critical-section-alloc)
     stash_.push_back(entry);
   }
 
   bool FastPath(int count) {
+    BPW_SCHEDULE_POINT("corpus.fast_path");
     if (!lock_.TryLock()) return false;
     ContentionLockAdoptGuard guard(lock_);
     for (int i = 0; i < count; ++i) {

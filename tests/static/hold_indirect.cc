@@ -5,7 +5,7 @@
 // function once the callback's contract is audited by hand (the annotated
 // control below).
 //
-// Not compiled — analyzed standalone by `bpw_holdlint
+// Not compiled — analyzed standalone by `bpw_check
 // --check-expectations`.
 
 namespace corpus {
@@ -15,7 +15,7 @@ struct CorpusIndirectHold {
 
   void ForEachEntry(void (*visit)(int)) {
     ContentionLockGuard guard(lock_);
-    // bpw-holdlint-expect(hold-indirect-call)
+    // bpw-check-expect(hold-indirect-call)
     visit(0);  // targets unknown — may do anything while we hold the lock
   }
 

@@ -1,10 +1,10 @@
 // Seeded violation: an allocation reached TRANSITIVELY from a hold region.
 // The critical section itself looks clean — the `new` hides two calls deep
-// — so bpw_lint's line-local critical-section-alloc rule cannot see it.
-// Only the interprocedural effect propagation (bpw_holdlint) catches it,
-// and the finding's witness chain names the full path to the allocator.
+// — so no line-local rule could see it. The interprocedural effect
+// propagation catches it, and the finding's witness chain names the full
+// path to the allocator.
 //
-// Not compiled — analyzed standalone by `bpw_holdlint
+// Not compiled — analyzed standalone by `bpw_check
 // --check-expectations`.
 
 namespace corpus {
@@ -18,7 +18,7 @@ struct CorpusAllocHold {
 
   void Commit() {
     ContentionLockGuard guard(lock_);
-    // bpw-holdlint-expect(hold-alloc)
+    // bpw-check-expect(hold-alloc)
     RecordAccess();  // -> GrowTable -> new: allocation under the lock
   }
 
@@ -26,7 +26,7 @@ struct CorpusAllocHold {
   // asserts it runs with lock_ held, so its body is a hold region even
   // though no guard is in sight.
   void ReplayHeld() BPW_REQUIRES(lock_) {
-    // bpw-holdlint-expect(hold-alloc)
+    // bpw-check-expect(hold-alloc)
     RecordAccess();
   }
 };

@@ -4,7 +4,7 @@
 // inherits the sleep. The sleep is hidden one call down, invisible to any
 // line-local rule.
 //
-// Not compiled — analyzed standalone by `bpw_holdlint
+// Not compiled — analyzed standalone by `bpw_check
 // --check-expectations`.
 
 namespace corpus {
@@ -16,7 +16,7 @@ struct CorpusBlockHold {
 
   void DrainSlow() {
     ContentionLockGuard guard(lock_);
-    // bpw-holdlint-expect(hold-block)
+    // bpw-check-expect(hold-block)
     BackoffABit();  // -> sleep_for: the whole convoy sleeps with us
   }
 };

@@ -5,7 +5,7 @@
 // quantity that bounds it (the annotated control below proves the
 // exoneration path works).
 //
-// Not compiled — analyzed standalone by `bpw_holdlint
+// Not compiled — analyzed standalone by `bpw_check
 // --check-expectations`.
 
 namespace corpus {
@@ -21,7 +21,7 @@ struct CorpusLoopHold {
 
   void DrainAll() {
     ContentionLockGuard guard(lock_);
-    // bpw-holdlint-expect(hold-unbounded-loop)
+    // bpw-check-expect(hold-unbounded-loop)
     while (HasWork()) {
       PopOne();
     }
@@ -29,7 +29,7 @@ struct CorpusLoopHold {
 
   void DrainViaHelper() {
     ContentionLockGuard guard(lock_);
-    // bpw-holdlint-expect(hold-unbounded-loop)
+    // bpw-check-expect(hold-unbounded-loop)
     SpinUntilIdle();  // the unbounded loop is one call down
   }
 

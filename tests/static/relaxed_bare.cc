@@ -1,10 +1,9 @@
 // Seeded violations of the relaxed-atomics discipline: every relaxed
 // access must either hit a field that carries a concurrency annotation
-// (BPW_RELAXED_OK / publication / capability) or sit under a standalone
-// BPW_RELAXED_OK("reason") site statement. A PUBLISHED_BY arg that names
-// no field in scope is itself rejected.
+// (BPW_RELAXED_OK / capability) or sit under a standalone
+// BPW_RELAXED_OK("reason") site statement.
 //
-// Not compiled — analyzed standalone by `bpw_atomiclint
+// Not compiled — analyzed standalone by `bpw_check
 // --check-expectations`.
 
 namespace corpus {
@@ -12,12 +11,10 @@ namespace corpus {
 struct CorpusCounters {
   std::atomic<unsigned long> corpus_hits_{0};
   std::atomic<unsigned long> corpus_misses_{0} BPW_RELAXED_OK("stats counter");
-  // bpw-atomiclint-expect(bad-annotation)
-  std::atomic<unsigned long> corpus_orphan_{0} BPW_PUBLISHED_BY(corpus_no_such_stamp);
 
   void Record(bool hit) {
     if (hit) {
-      // bpw-atomiclint-expect(relaxed-unannotated)
+      // bpw-check-expect(relaxed-unannotated)
       corpus_hits_.fetch_add(1, std::memory_order_relaxed);
     } else {
       corpus_misses_.fetch_add(1, std::memory_order_relaxed);  // annotated

@@ -4,7 +4,7 @@
 // BPW_MC_ACCESS_WRITE is a data race waiting for the certifier to find
 // it, so the analyzer rejects the declaration-site omission statically.
 //
-// Not compiled — analyzed standalone by `bpw_atomiclint
+// Not compiled — analyzed standalone by `bpw_check
 // --check-expectations`.
 
 namespace corpus {
@@ -15,7 +15,7 @@ struct CorpusRaceTarget {
   unsigned long corpus_guarded_word BPW_GUARDED_BY(corpus_word_mu_) = 0;
 
   void TouchBare() {
-    // bpw-atomiclint-expect(mc-access-unannotated)
+    // bpw-check-expect(mc-access-unannotated)
     BPW_MC_ACCESS_WRITE("corpus.bare_word", &corpus_bare_word);
     corpus_bare_word = 1;
   }

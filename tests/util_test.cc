@@ -1,4 +1,5 @@
-// Tests for util: Status/StatusOr, Random, clocks, cache alignment.
+// Tests for util: Status/StatusOr, flag parsing, Random, clocks, cache
+// alignment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +8,7 @@
 
 #include "util/cacheline.h"
 #include "util/clock.h"
+#include "util/flag_parse.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -72,6 +74,38 @@ TEST(StatusOrTest, MoveOutValue) {
   StatusOr<std::string> v(std::string(100, 'x'));
   std::string out = std::move(v).value();
   EXPECT_EQ(out.size(), 100u);
+}
+
+TEST(FlagParseTest, UintTakesTheWholeStringInRange) {
+  EXPECT_EQ(*ParseUintFlag("--n", "0"), 0u);
+  EXPECT_EQ(*ParseUintFlag("--n", "4096"), 4096u);
+  EXPECT_EQ(*ParseUintFlag("--n", "18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_EQ(*ParseUintFlag("--n", "7", 7), 7u);
+}
+
+TEST(FlagParseTest, UintRejectsPrefixesGarbageSignsAndOverflow) {
+  for (const char* bad : {"", "abc", "50x", "1x", " 5", "5 ", "-1", "+1",
+                          "0x10", "1.5", "18446744073709551616"}) {
+    auto parsed = ParseUintFlag("--threads", bad);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_TRUE(parsed.status().IsInvalidArgument());
+    EXPECT_NE(parsed.status().message().find("--threads"), std::string::npos)
+        << "the error must name the flag";
+  }
+  EXPECT_FALSE(ParseUintFlag("--n", "8", 7).ok()) << "above max";
+}
+
+TEST(FlagParseTest, DoubleTakesTheWholeStringAndStaysFinite) {
+  EXPECT_DOUBLE_EQ(*ParseDoubleFlag("--p", "0.95"), 0.95);
+  EXPECT_DOUBLE_EQ(*ParseDoubleFlag("--p", "1e-3"), 1e-3);
+  EXPECT_DOUBLE_EQ(*ParseDoubleFlag("--p", "-0.5"), -0.5);
+  for (const char* bad : {"", "x", "0.95x", " 1", "nan", "inf", "1e999"}) {
+    auto parsed = ParseDoubleFlag("--confidence", bad);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_NE(parsed.status().message().find("--confidence"),
+              std::string::npos);
+  }
 }
 
 TEST(RandomTest, DeterministicForSeed) {

@@ -15,10 +15,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "bench/compare.h"
 #include "bench/json_reader.h"
+#include "util/flag_parse.h"
 
 namespace {
 
@@ -53,17 +55,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A malformed number would change the gate's statistics: exit 2
+    // naming the flag instead.
+    auto number = [](const auto& parsed) {
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+        std::exit(2);
+      }
+      return *parsed;
+    };
     if (arg == "--gate-wall") {
       options.gate_wall = true;
     } else if (arg == "--confidence") {
-      options.confidence = std::atof(next("--confidence"));
+      options.confidence =
+          number(ParseDoubleFlag("--confidence", next("--confidence")));
     } else if (arg == "--resamples") {
-      options.resamples = std::atoi(next("--resamples"));
+      options.resamples = static_cast<int>(
+          number(ParseUintFlag("--resamples", next("--resamples"),
+                               std::numeric_limits<int>::max())));
     } else if (arg == "--min-rel-delta") {
-      options.min_rel_delta = std::atof(next("--min-rel-delta"));
+      options.min_rel_delta =
+          number(ParseDoubleFlag("--min-rel-delta", next("--min-rel-delta")));
     } else if (arg == "--seed") {
-      options.bootstrap_seed =
-          std::strtoull(next("--seed"), nullptr, 10);
+      options.bootstrap_seed = number(ParseUintFlag("--seed", next("--seed")));
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;

@@ -13,11 +13,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "bench/runner.h"
 #include "bench/suite.h"
 #include "obs/prof_site.h"
+#include "util/flag_parse.h"
 
 namespace {
 
@@ -59,14 +61,24 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Trial counts are ints; a malformed one exits 2 naming the flag.
+    auto count = [&](const char* flag) -> int {
+      auto parsed = ParseUintFlag(flag, next(flag),
+                                  std::numeric_limits<int>::max());
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+        std::exit(2);
+      }
+      return static_cast<int>(*parsed);
+    };
     if (arg == "--suite") {
       suite_name = next("--suite");
     } else if (arg == "--out") {
       out_path = next("--out");
     } else if (arg == "--trials") {
-      options.trials = std::atoi(next("--trials"));
+      options.trials = count("--trials");
     } else if (arg == "--warmup") {
-      options.warmup_trials = std::atoi(next("--warmup"));
+      options.warmup_trials = count("--warmup");
     } else if (arg == "--stdout") {
       to_stdout = true;
     } else if (arg == "--quiet") {

@@ -17,12 +17,15 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "mc/explorer.h"
 #include "mc/replay.h"
 #include "mc/scenario.h"
 #include "testing/schedule_point.h"
+#include "util/flag_parse.h"
 
 namespace {
 
@@ -90,73 +93,70 @@ bool ParseArgs(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     const char* value = nullptr;
-    try {
-      if (flag == "--help" || flag == "-h") {
-        PrintUsage();
-        std::exit(0);
-      } else if (flag == "--list") {
-        args.list = true;
-      } else if (flag == "--minimize") {
-        args.minimize = true;
-      } else if (flag == "--no-dpor") {
-        args.no_dpor = true;
-      } else if (flag == "--no-state-dedup") {
-        args.no_state_dedup = true;
-      } else if (flag == "--scenario") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.scenario = value;
-      } else if (flag == "--replay") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.replay_path = value;
-      } else if (flag == "--replay-out") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.replay_out = value;
-      } else if (flag == "--mutation") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.mutation = value;
-      } else if (flag == "--coordinator") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.coordinator = value;
-      } else if (flag == "--policy") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.policy = value;
-      } else if (flag == "--bound") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.bound = std::stoi(value);
-      } else if (flag == "--threads") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.threads = std::stoi(value);
-      } else if (flag == "--pages") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.pages = std::stoi(value);
-      } else if (flag == "--frames") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.frames = std::stoi(value);
-      } else if (flag == "--ops") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.ops = std::stoi(value);
-      } else if (flag == "--queue") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.queue = std::stoull(value);
-      } else if (flag == "--threshold") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.threshold = std::stoull(value);
-      } else if (flag == "--budget") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.budget = std::stoull(value);
-      } else if (flag == "--max-execs") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.max_execs = std::stoull(value);
-      } else if (flag == "--time-limit-ms") {
-        if ((value = need_value(i)) == nullptr) return false;
-        args.time_limit_ms = std::stoull(value);
-      } else {
-        std::cerr << "bpw_modelcheck: unknown flag '" << flag << "'\n";
+    // A malformed number is a usage error naming the flag.
+    auto number = [&](uint64_t max, auto* out) {
+      if ((value = need_value(i)) == nullptr) return false;
+      auto parsed = bpw::ParseUintFlag(flag, value, max);
+      if (!parsed.ok()) {
+        std::cerr << "bpw_modelcheck: " << parsed.status().ToString() << "\n";
         return false;
       }
-    } catch (...) {
-      std::cerr << "bpw_modelcheck: bad value for " << flag << ": '"
-                << (value != nullptr ? value : "") << "'\n";
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(*parsed);
+      return true;
+    };
+    constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+    constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
+    if (flag == "--help" || flag == "-h") {
+      PrintUsage();
+      std::exit(0);
+    } else if (flag == "--list") {
+      args.list = true;
+    } else if (flag == "--minimize") {
+      args.minimize = true;
+    } else if (flag == "--no-dpor") {
+      args.no_dpor = true;
+    } else if (flag == "--no-state-dedup") {
+      args.no_state_dedup = true;
+    } else if (flag == "--scenario") {
+      if ((value = need_value(i)) == nullptr) return false;
+      args.scenario = value;
+    } else if (flag == "--replay") {
+      if ((value = need_value(i)) == nullptr) return false;
+      args.replay_path = value;
+    } else if (flag == "--replay-out") {
+      if ((value = need_value(i)) == nullptr) return false;
+      args.replay_out = value;
+    } else if (flag == "--mutation") {
+      if ((value = need_value(i)) == nullptr) return false;
+      args.mutation = value;
+    } else if (flag == "--coordinator") {
+      if ((value = need_value(i)) == nullptr) return false;
+      args.coordinator = value;
+    } else if (flag == "--policy") {
+      if ((value = need_value(i)) == nullptr) return false;
+      args.policy = value;
+    } else if (flag == "--bound") {
+      if (!number(kIntMax, &args.bound)) return false;
+    } else if (flag == "--threads") {
+      if (!number(kIntMax, &args.threads)) return false;
+    } else if (flag == "--pages") {
+      if (!number(kIntMax, &args.pages)) return false;
+    } else if (flag == "--frames") {
+      if (!number(kIntMax, &args.frames)) return false;
+    } else if (flag == "--ops") {
+      if (!number(kIntMax, &args.ops)) return false;
+    } else if (flag == "--queue") {
+      if (!number(kU64Max, &args.queue)) return false;
+    } else if (flag == "--threshold") {
+      if (!number(kU64Max, &args.threshold)) return false;
+    } else if (flag == "--budget") {
+      if (!number(kU64Max, &args.budget)) return false;
+    } else if (flag == "--max-execs") {
+      if (!number(kU64Max, &args.max_execs)) return false;
+    } else if (flag == "--time-limit-ms") {
+      if (!number(kU64Max, &args.time_limit_ms)) return false;
+    } else {
+      std::cerr << "bpw_modelcheck: unknown flag '" << flag << "'\n";
       return false;
     }
   }

@@ -36,10 +36,10 @@ void Usage() {
       "  --table       aligned per-site table\n"
       "  --json        normalized report JSON (round-tripped)\n"
       "  --reconcile   static-vs-measured hold-time table: joins the\n"
-      "                static hold costs from `bpw_holdlint --costs` with\n"
+      "                static hold costs from `bpw_check --costs` with\n"
       "                the report's measured hold distributions, ranks\n"
       "                both, and flags sites whose ranks diverge\n"
-      "  --costs=FILE  the bpw_holdlint --costs JSON (--reconcile only)\n"
+      "  --costs=FILE  the bpw_check --costs JSON (--reconcile only)\n"
       "  --out=FILE    write to FILE instead of stdout\n\n"
       "REPORT.json is the output of bpw_run --contention-report=FILE or a\n"
       "full bpw_run --json document (\"-\" reads stdin).\n");
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
       if (costs_path.empty()) {
         std::fprintf(stderr,
                      "--reconcile needs --costs=FILE (the JSON written by "
-                     "bpw_holdlint --costs)\n");
+                     "bpw_check --costs)\n");
         return 2;
       }
       std::string costs;

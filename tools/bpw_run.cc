@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "harness/driver.h"
@@ -22,6 +23,7 @@
 #include "policy/policy_factory.h"
 #include "harness/systems.h"
 #include "sim/sim_driver.h"
+#include "util/flag_parse.h"
 
 namespace {
 
@@ -61,10 +63,17 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
-bool ParseFlag(const char* arg, const char* name, uint64_t* out) {
+/// A malformed number is a usage error: it exits 2 naming the flag.
+bool ParseFlag(const char* arg, const char* name, uint64_t* out,
+               uint64_t max = std::numeric_limits<uint64_t>::max()) {
   std::string value;
   if (!ParseFlag(arg, name, &value)) return false;
-  *out = std::strtoull(value.c_str(), nullptr, 10);
+  auto parsed = ParseUintFlag(name, value, max);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+    std::exit(2);
+  }
+  *out = *parsed;
   return true;
 }
 
@@ -227,7 +236,8 @@ int main(int argc, char** argv) {
         ParseFlag(arg, "--trace-out", &args.trace_out)) {
       continue;
     }
-    if (ParseFlag(arg, "--threads", &u64)) {
+    if (ParseFlag(arg, "--threads", &u64,
+                  std::numeric_limits<uint32_t>::max())) {
       args.threads = static_cast<uint32_t>(u64);
       continue;
     }
