@@ -8,7 +8,7 @@
 // convention), and the FooLocked() suffix convention when the enclosing
 // class owns such a lock. Mutex and MutexGuard are deliberately NOT hold
 // regions: Mutex is the condvar-user wrapper and blocking under it is the
-// intended behaviour (BufferPool::BeginLoad waits under one).
+// intended behaviour (BufferPool::WaitForLoad waits under one).
 //
 // Inside every hold region the checker proves, using the transitive
 // effect summaries (effects.h) over the call graph, that nothing

@@ -1,7 +1,9 @@
 #include "buffer/buffer_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
+#include <unordered_set>
 
 #include "obs/contention_profiler.h"
 #include "obs/trace_recorder.h"
@@ -86,36 +88,65 @@ BufferPool::BufferPool(const BufferPoolConfig& config, StorageEngine* storage,
     for (size_t i = config_.num_frames; i-- > 0;) {
       free_frames_.push_back(static_cast<FrameId>(i));
     }
+    free_hint_.store(free_frames_.size(), std::memory_order_relaxed);
   }
   coordinator_->BindFrameTags(frame_tags_.data(), frame_tags_.size());
 
   free_lock_.BindProfSite(BPW_PROF_SITE("pool.free_list"));
 
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  metric_hits_ = registry.GetCounter("buffer.hits");
-  metric_misses_ = registry.GetCounter("buffer.misses");
-  metric_evictions_ = registry.GetCounter("buffer.evictions");
-  metric_writebacks_ = registry.GetCounter("buffer.writebacks");
   metrics_source_ = obs::ScopedMetricSource(
-      &registry, [this](obs::MetricsSnapshot& snap) {
+      &obs::MetricsRegistry::Default(), [this](obs::MetricsSnapshot& snap) {
         snap.AddGauge("buffer.num_frames",
                       static_cast<double>(config_.num_frames));
-        size_t free_count = 0;
-        {
-          SpinLockGuard guard(free_lock_);
-          free_count = free_frames_.size();
-        }
-        snap.AddGauge("buffer.free_frames", static_cast<double>(free_count));
+        snap.AddGauge(
+            "buffer.free_frames",
+            static_cast<double>(free_hint_.load(std::memory_order_relaxed)));
+        const PoolTotals totals = Totals();
+        snap.Add("buffer.hits", static_cast<double>(totals.hits));
+        snap.Add("buffer.misses", static_cast<double>(totals.misses));
+        snap.Add("buffer.evictions", static_cast<double>(totals.evictions));
+        snap.Add("buffer.writebacks", static_cast<double>(totals.writebacks));
         snap.Add("buffer.eviction_races",
-                 static_cast<double>(eviction_races()));
+                 static_cast<double>(totals.eviction_races));
       });
 }
 
 BufferPool::~BufferPool() = default;
 
 std::unique_ptr<BufferPool::Session> BufferPool::CreateSession() {
-  return std::unique_ptr<Session>(
-      new Session(coordinator_->RegisterThread()));
+  std::unique_ptr<Session> session(
+      new Session(this, coordinator_->RegisterThread()));
+  MutexGuard guard(sessions_mu_);
+  sessions_.push_back(session.get());
+  return session;
+}
+
+BufferPool::Session::~Session() { pool_->RetireSession(this); }
+
+void BufferPool::PoolTotals::Add(const SessionCounters& counters) {
+  hits += counters.hits.value();
+  misses += counters.misses.value();
+  evictions += counters.evictions.value();
+  writebacks += counters.writebacks.value();
+  eviction_races += counters.eviction_races.value();
+  writeback_failures += counters.writeback_failures.value();
+}
+
+BufferPool::PoolTotals BufferPool::Totals() const {
+  MutexGuard guard(sessions_mu_);
+  PoolTotals totals = retired_;
+  for (const Session* session : sessions_) totals.Add(session->counters_);
+  return totals;
+}
+
+void BufferPool::RetireSession(Session* session) {
+  MutexGuard guard(sessions_mu_);
+  retired_.Add(session->counters_);
+  const auto it = std::find(sessions_.begin(), sessions_.end(), session);
+  if (it != sessions_.end()) {
+    *it = sessions_.back();
+    sessions_.pop_back();
+  }
 }
 
 bool BufferPool::TryPin(FrameId frame, PageId page) {
@@ -172,6 +203,7 @@ void BufferPool::PushFreeFrame(FrameId frame) {
   {
     SpinLockGuard guard(free_lock_);
     free_frames_.push_back(frame);
+    free_hint_.store(free_frames_.size(), std::memory_order_relaxed);
   }
   FrameMayBeFree();
 }
@@ -189,7 +221,7 @@ size_t BufferPool::pinned_frames() const {
 void BufferPool::NotifyFrameWaiters() {
   {
     MutexGuard lock(pending_mu_);
-    frame_signal_->epoch.fetch_add(1, std::memory_order_release);
+    signal_->epoch.fetch_add(1, std::memory_order_release);
   }
   WakePendingWaiters();
 }
@@ -197,12 +229,12 @@ void BufferPool::NotifyFrameWaiters() {
 void BufferPool::WaitForFrame(uint64_t epoch) {
   MutexGuard lock(pending_mu_);
   const auto deadline = std::chrono::steady_clock::now() + kFrameWaitSlice;
-  while (frame_signal_->epoch.load(std::memory_order_acquire) == epoch) {
+  while (signal_->epoch.load(std::memory_order_acquire) == epoch) {
 #if BPW_SCHEDULE_POINTS
-    // The same cooperative bridge as BeginLoad: under the model checker the
-    // wait parks until NotifyFrameWaiters (no timeout; the checker reports
-    // a missed notification as a deadlock). An aborted run unwinds into
-    // FetchPage's retry loop.
+    // The same cooperative bridge as WaitForLoad: under the model checker
+    // the wait parks until NotifyFrameWaiters (no timeout; the checker
+    // reports a missed notification as a deadlock). An aborted run unwinds
+    // into FetchPage's retry loop.
     testing::ScheduleController* controller =
         testing::ScheduleController::Current();
     if (controller != nullptr && controller->PrepareWait(&pending_cv_)) {
@@ -220,44 +252,49 @@ void BufferPool::WaitForFrame(uint64_t epoch) {
   }
 }
 
-bool BufferPool::BeginLoad(PageId page) {
-  MutexGuard lock(pending_mu_);
-  if (!pending_loads_.contains(page)) {
-    pending_loads_.insert(page);
-    return true;
-  }
-  // Explicit wait loop (not the predicate overload): the predicate lambda
-  // would be analyzed with an empty capability set even though the wait
-  // machinery holds pending_mu_ around every evaluation.
-  while (pending_loads_.contains(page)) {
-#if BPW_SCHEDULE_POINTS
-    // Cooperative bridge for the model checker: a worker must not block in
-    // the OS under a one-thread-at-a-time scheduler. PrepareWait registers
-    // the wait while pending_mu_ is still held (so FinishLoad cannot slip
-    // between the predicate check and registration); CommitWait parks until
-    // a NotifyAll, or returns false when the exploration aborts this
-    // execution — then we unwind as "someone else loaded it" and let
-    // FetchPage's retry loop (which the scheduler also controls) notice the
-    // abort.
-    testing::ScheduleController* controller =
-        testing::ScheduleController::Current();
-    if (controller != nullptr && controller->PrepareWait(&pending_cv_)) {
-      pending_mu_.unlock();
-      const bool woke = controller->CommitWait(&pending_cv_);
-      pending_mu_.lock();
-      if (!woke) return false;
-      continue;
-    }
-#endif
-    pending_cv_.wait(pending_mu_);
-  }
-  return false;
-}
-
-void BufferPool::FinishLoad(PageId page) {
+void BufferPool::WaitForLoad(PageId page) {
+  // Register before the re-check below: a loader that ends the load after
+  // the re-check then sees the registration and wakes us (the seq_cst pair
+  // described at PageTable::PublishLoad).
+  signal_->load_waiters.fetch_add(1, std::memory_order_seq_cst);
   {
     MutexGuard lock(pending_mu_);
-    pending_loads_.erase(page);
+    // Explicit wait loop (not the predicate overload): the predicate lambda
+    // would be analyzed with an empty capability set even though the wait
+    // machinery holds pending_mu_ around every evaluation.
+    while (table_.Loading(page)) {
+#if BPW_SCHEDULE_POINTS
+      // Cooperative bridge for the model checker: a worker must not block
+      // in the OS under a one-thread-at-a-time scheduler. PrepareWait
+      // registers the wait while pending_mu_ is still held (so LoadEnded
+      // cannot slip between the predicate check and registration);
+      // CommitWait parks until a NotifyAll, or returns false when the
+      // exploration aborts this execution — then we unwind and let
+      // FetchPage's retry loop (which the scheduler also controls) notice
+      // the abort.
+      testing::ScheduleController* controller =
+          testing::ScheduleController::Current();
+      if (controller != nullptr && controller->PrepareWait(&pending_cv_)) {
+        pending_mu_.unlock();
+        const bool woke = controller->CommitWait(&pending_cv_);
+        pending_mu_.lock();
+        if (!woke) break;
+        continue;
+      }
+#endif
+      pending_cv_.wait(pending_mu_);
+    }
+  }
+  signal_->load_waiters.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void BufferPool::LoadEnded() {
+  if (signal_->load_waiters.load(std::memory_order_seq_cst) == 0) return;
+  {
+    // Passing through pending_mu_ orders this wake after the predicate
+    // check of any waiter that read the slot before the load ended: that
+    // waiter holds the mutex until it is parked on pending_cv_.
+    MutexGuard lock(pending_mu_);
   }
   WakePendingWaiters();
 }
@@ -283,12 +320,14 @@ FrameId BufferPool::AcquireFrame(Session& session, PageId incoming,
   };
 
   for (int attempt = 1;; ++attempt) {
-    // Fast path: an unused frame.
-    {
+    // Fast path: an unused frame. The list is empty in steady state, and
+    // then the hint spares the miss the lock.
+    if (free_hint_.load(std::memory_order_relaxed) != 0) {
       SpinLockGuard guard(free_lock_);
       if (!free_frames_.empty()) {
         const FrameId frame = free_frames_.back();
         free_frames_.pop_back();
+        free_hint_.store(free_frames_.size(), std::memory_order_relaxed);
         return frame;
       }
     }
@@ -321,7 +360,7 @@ FrameId BufferPool::AcquireFrame(Session& session, PageId incoming,
       claimed = false;
     }
     if (!claimed) {
-      eviction_races_.fetch_add(1, std::memory_order_relaxed);
+      session.counters_.eviction_races.Add(1);
       // The policy already detached the page but someone pinned it between
       // selection and the claim. Re-register it so policy and pool agree,
       // then retry.
@@ -349,23 +388,21 @@ FrameId BufferPool::AcquireFrame(Session& session, PageId incoming,
         // Keep going: the frame is reused. The write is reported lost via
         // the counter (and one log line, not one per failure — fault
         // injection makes failures routine).
-        writeback_failures_.fetch_add(1, std::memory_order_relaxed);
+        session.counters_.writeback_failures.Add(1);
         if (!writeback_failure_logged_.exchange(true)) {
           BPW_LOG_ERROR << "write-back of page " << victim.page
                         << " failed: " << status.ToString()
                         << " (further failures counted, not logged)";
         }
       }
-      writebacks_.fetch_add(1, std::memory_order_relaxed);
-      BPW_METRIC_ADD(metric_writebacks_, 1);
+      session.counters_.writebacks.Add(1);
     }
 
     BPW_SCHEDULE_POINT("pool.evict_publish");
     table_.Erase(victim.page, victim.frame);
     frame_tags_[victim.frame].store(kInvalidPageId, std::memory_order_release);
     ReleaseClaim(victim.frame);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    BPW_METRIC_ADD(metric_evictions_, 1);
+    session.counters_.evictions.Add(1);
     if (obs::TraceEnabled()) {
       obs::TraceEmit(obs::TraceEventKind::kEviction, NowNanos(), 0,
                      victim.page);
@@ -401,10 +438,10 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
     }
     BPW_SCHEDULE_POINT("pool.fetch_lookup");
     const FrameId frame = table_.Lookup(page);
-    if (frame != kInvalidFrameId) {
+    // Real frame ids sort below both sentinels.
+    if (frame < PageTable::kLoadingFrameId) {
       if (TryPin(frame, page)) {
-        ++session.stats_.hits;
-        BPW_METRIC_ADD(metric_hits_, 1);
+        session.counters_.hits.Add(1);
         coordinator_->OnHit(session.slot_.get(), page, frame);
         return PageHandle(this, page, frame, FrameData(frame));
       }
@@ -412,30 +449,31 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
       BPW_SCHEDULE_YIELD("pool.fetch_busy_retry");
       continue;
     }
+    if (frame == PageTable::kLoadingFrameId) {
+      // Single-flight: another fetcher is loading this page.
+      WaitForLoad(page);
+      continue;
+    }
 
-    // Miss. Single-flight: only one thread loads a given page.
-    if (!BeginLoad(page)) continue;  // someone else loaded it; retry lookup
+    // Miss. Single-flight: claim the load in the table. The claim CAS is
+    // also the re-check — it fails if the page was published or claimed
+    // since the lookup, and the lookup is retried.
+    if (!table_.TryClaimLoad(page)) continue;
 
     // Phase scope for the whole miss resolution; eviction, write-back and
     // the storage read nest under it in the contention report.
     BPW_PROF_PHASE("pool.miss");
 
-    // Re-check under load ownership (the page may have been published
-    // between the lookup and BeginLoad).
-    if (table_.Lookup(page) != kInvalidFrameId) {
-      FinishLoad(page);
-      continue;
-    }
-
     // A registered waiter samples the epoch before its attempt, so a frame
     // released after the attempt looked always ends the wait below.
     const bool registered = waiter.count != nullptr;
     const uint64_t epoch =
-        registered ? frame_signal_->epoch.load(std::memory_order_acquire) : 0;
+        registered ? signal_->epoch.load(std::memory_order_acquire) : 0;
     const FrameId new_frame = AcquireFrame(
         session, page, registered ? 1 : config_.eviction_retries + 1);
     if (new_frame == kInvalidFrameId) {
-      FinishLoad(page);
+      table_.AbortLoad(page);
+      LoadEnded();
       // Nothing evictable: back-pressure, not an error. Frames are pinned
       // by live handles or in flight (mid-eviction, mid-load, just detached
       // by another evictor), and one will come free. Only a pool whose
@@ -448,7 +486,7 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
       if (!registered) {
         // Register, then retry once before waiting, so that an unpin
         // between the failed attempts and the registration is not missed.
-        waiter.count = &frame_signal_->waiters;
+        waiter.count = &signal_->frame_waiters;
         waiter.count->fetch_add(1, std::memory_order_seq_cst);
         continue;
       }
@@ -466,7 +504,8 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
     }();
     if (!status.ok()) {
       PushFreeFrame(new_frame);
-      FinishLoad(page);
+      table_.AbortLoad(page);
+      LoadEnded();
       return status;
     }
 
@@ -480,15 +519,10 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
     meta.dirty.store(false, std::memory_order_relaxed);
     meta.state.fetch_add(1, std::memory_order_relaxed);
     frame_tags_[new_frame].store(page, std::memory_order_release);
-
-    if (!table_.Insert(page, new_frame)) {
-      // Impossible under single-flight; fail loudly in debug builds.
-      BPW_LOG_ERROR << "duplicate mapping for page " << page;
-    }
+    table_.PublishLoad(page, new_frame);
     coordinator_->CompleteMiss(session.slot_.get(), page, new_frame);
-    ++session.stats_.misses;
-    BPW_METRIC_ADD(metric_misses_, 1);
-    FinishLoad(page);
+    session.counters_.misses.Add(1);
+    LoadEnded();
     return PageHandle(this, page, new_frame, FrameData(new_frame));
   }
 }
@@ -501,6 +535,9 @@ Status BufferPool::DropPage(Session& session, PageId page) {
   const FrameId frame = table_.Lookup(page);
   if (frame == kInvalidFrameId) {
     return Status::NotFound("page not buffered");
+  }
+  if (frame == PageTable::kLoadingFrameId) {
+    return Status::FailedPrecondition("page is mid-load");
   }
   FrameMeta& meta = frames_[frame];
   if (!TryClaim(frame)) {
@@ -548,6 +585,7 @@ Status BufferPool::FlushAll() {
   // still flush it) and must not stop the sweep — every flushable page gets
   // its chance, and the first error is reported to the caller.
   Status first_error;
+  uint64_t writebacks = 0;
   for (FrameId frame = 0; frame < frames_.size(); ++frame) {
     FrameMeta& meta = frames_[frame];
     // Claim the frame but keep its pins: a pinned dirty page is flushed
@@ -564,7 +602,7 @@ Status BufferPool::FlushAll() {
     }
 
     Status status = storage_->WritePage(page, FrameData(frame));
-    writebacks_.fetch_add(1, std::memory_order_relaxed);
+    ++writebacks;
     if (!status.ok()) {
       // Restore dirtiness: the storage write did not happen.
       meta.dirty.store(true, std::memory_order_relaxed);
@@ -572,6 +610,9 @@ Status BufferPool::FlushAll() {
     }
     ReleaseClaim(frame);
   }
+  // FlushAll runs outside any session; its write-backs count as retired.
+  MutexGuard guard(sessions_mu_);
+  retired_.writebacks += writebacks;
   return first_error;
 }
 
@@ -607,7 +648,11 @@ uint64_t BufferPool::StateFingerprint() const {
   // The free list is a stack, so its order is part of the state (it decides
   // which frame the next miss takes).
   for (const FrameId frame : free_frames_) fp.Combine(frame);
-  for (const PageId page : pending_loads_) fp.CombineUnordered(page);
+  for (PageId page = 0; page < table_.num_pages(); ++page) {
+    if (table_.Lookup(page) == PageTable::kLoadingFrameId) fp.Combine(page);
+  }
+  fp.Combine(signal_->frame_waiters.load(std::memory_order_relaxed));
+  fp.Combine(signal_->load_waiters.load(std::memory_order_relaxed));
   return fp.value();
 }
 
@@ -631,6 +676,9 @@ Status BufferPool::CheckIntegrity() {
   }
   if (mapped != table_.size()) {
     return Status::Corruption("page table size disagrees with frame tags");
+  }
+  if (table_.loading() != 0) {
+    return Status::Corruption("quiesced page table still holds a load");
   }
   std::vector<FrameId> free_frames;
   {

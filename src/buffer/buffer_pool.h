@@ -13,8 +13,14 @@
 //     one fetch_sub; it takes no lock and writes no other shared line.
 //     Eviction and DropPage own a frame exclusively by CASing its state
 //     from 0 (idle) to kBusy.
-//   - A miss is "single-flight": concurrent faults on the same page wait on
-//     a condition variable instead of issuing duplicate I/O.
+//   - A miss is "single-flight": it claims the page's page-table slot with
+//     one CAS to a loading sentinel and publishes the frame with one store.
+//     Concurrent faults on the same page find the sentinel and wait on a
+//     condition variable instead of issuing duplicate I/O; the loader takes
+//     that condition variable's mutex only when such a waiter registered.
+//   - Statistics are single-writer counters (obs::SingleWriterCounter) in
+//     the Session that does the work, so a FetchPage writes no shared stats
+//     line. The pool sums live sessions plus retired totals on demand.
 //   - A full pool is back-pressure: a miss that finds no evictable frame
 //     waits for an unpin, and fails with ResourceExhausted only when every
 //     frame is pinned.
@@ -24,7 +30,6 @@
 
 #include <condition_variable>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "buffer/page_table.h"
@@ -108,13 +113,36 @@ struct BufferPoolConfig {
 };
 
 class BufferPool {
+ private:
+  /// The pool counters a session's thread writes. Cache-line aligned so two
+  /// sessions' counters never share a line.
+  struct alignas(kCacheLineSize) SessionCounters {
+    obs::SingleWriterCounter hits;
+    obs::SingleWriterCounter misses;
+    obs::SingleWriterCounter evictions;
+    obs::SingleWriterCounter writebacks;
+    obs::SingleWriterCounter eviction_races;
+    obs::SingleWriterCounter writeback_failures;
+  };
+
  public:
   /// A per-worker-thread session: wraps the coordinator's thread slot and
-  /// local hit/miss counters. Create one per thread via CreateSession().
+  /// the counters of the work done through it. Create one per thread via
+  /// CreateSession(); destroy it before the pool.
   class Session {
    public:
-    const AccessStats& stats() const { return stats_; }
-    void ResetStats() { stats_ = AccessStats{}; }
+    ~Session();
+
+    /// Hits and misses since creation or the last ResetStats().
+    AccessStats stats() const {
+      return AccessStats{counters_.hits.value() - base_.hits,
+                         counters_.misses.value() - base_.misses};
+    }
+    /// Restarts stats() from zero. The pool-wide totals (registry and
+    /// accessors) keep counting: they must stay monotone.
+    void ResetStats() {
+      base_ = AccessStats{counters_.hits.value(), counters_.misses.value()};
+    }
 
     /// The coordinator slot backing this session, for
     /// Coordinator::SlotStateFingerprint (model-checker state dedup).
@@ -122,10 +150,12 @@ class BufferPool {
 
    private:
     friend class BufferPool;
-    explicit Session(std::unique_ptr<Coordinator::ThreadSlot> slot)
-        : slot_(std::move(slot)) {}
+    Session(BufferPool* pool, std::unique_ptr<Coordinator::ThreadSlot> slot)
+        : pool_(pool), slot_(std::move(slot)) {}
+    BufferPool* pool_;
     std::unique_ptr<Coordinator::ThreadSlot> slot_;
-    AccessStats stats_;
+    SessionCounters counters_;
+    AccessStats base_;
   };
 
   /// @param coordinator owns the replacement policy; the pool binds its
@@ -168,24 +198,18 @@ class BufferPool {
   size_t num_frames() const { return config_.num_frames; }
   size_t page_size() const { return config_.page_size; }
 
-  /// Pool-wide miss-path counters.
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  uint64_t writebacks() const {
-    return writebacks_.load(std::memory_order_relaxed);
-  }
+  /// Pool-wide counters: the sum over live sessions plus the totals of
+  /// retired ones (each call takes the session-registry mutex).
+  uint64_t evictions() const { return Totals().evictions; }
+  /// Eviction write-backs plus FlushAll's.
+  uint64_t writebacks() const { return Totals().writebacks; }
   /// Times a chosen victim had to be re-registered because it was pinned
   /// between selection and the claim CAS (rare race; see AcquireFrame).
-  uint64_t eviction_races() const {
-    return eviction_races_.load(std::memory_order_relaxed);
-  }
+  uint64_t eviction_races() const { return Totals().eviction_races; }
   /// Write-backs whose storage write failed (the page's last version is
   /// reported lost; with fault injection every lost update must be covered
   /// by this counter plus the injector's torn-write count).
-  uint64_t writeback_failures() const {
-    return writeback_failures_.load(std::memory_order_relaxed);
-  }
+  uint64_t writeback_failures() const { return Totals().writeback_failures; }
 
   /// Frames with a non-zero pin count (a snapshot under concurrency). The
   /// pool is full — and a miss fails with ResourceExhausted — only when
@@ -196,10 +220,11 @@ class BufferPool {
   Status CheckIntegrity();
 
   /// Structural fingerprint of (frame tags, pins, dirty/io flags, free list,
-  /// pending loads) for the model checker's visited-state dedup. Quiesced
-  /// callers only (the cooperative scheduler holds every worker parked while
-  /// fingerprinting); deliberately pointer-free so identical logical states
-  /// from different executions collide.
+  /// loads in flight, waiter registrations) for the model checker's
+  /// visited-state dedup. Quiesced callers only (the cooperative scheduler
+  /// holds every worker parked while fingerprinting); deliberately
+  /// pointer-free so identical logical states from different executions
+  /// collide.
   uint64_t StateFingerprint() const BPW_NO_THREAD_SAFETY_ANALYSIS;
 
  private:
@@ -254,22 +279,39 @@ class BufferPool {
 
   /// Back-pressure signal: while a waiter is registered, every event that
   /// may make a frame evictable (an unpin to zero, a released claim, a
-  /// free-list push) bumps frame_signal_->epoch and wakes the waiters.
+  /// free-list push) bumps signal_->epoch and wakes the waiters.
   void FrameMayBeFree() {
-    if (frame_signal_->waiters.load(std::memory_order_relaxed) != 0) {
+    if (signal_->frame_waiters.load(std::memory_order_relaxed) != 0) {
       NotifyFrameWaiters();
     }
   }
   void NotifyFrameWaiters();
-  /// Waits until frame_signal_->epoch moves past `epoch`, for at most one
-  /// slice.
+  /// Waits until signal_->epoch moves past `epoch`, for at most one slice.
   void WaitForFrame(uint64_t epoch);
 
-  /// Single-flight guard around the miss path.
-  bool BeginLoad(PageId page);   // true if this thread owns the load
-  void FinishLoad(PageId page);  // wakes waiters
+  /// Single-flight wait: parks until the load of `page` that another
+  /// fetcher claimed in the page table is published or given up.
+  void WaitForLoad(PageId page);
+  /// The loader's side, after PublishLoad/AbortLoad: wakes load waiters if
+  /// any registered.
+  void LoadEnded();
   /// Wakes every pending_cv_ waiter, real and cooperative.
   void WakePendingWaiters();
+
+  /// Sum of every live session's counters plus the retired totals.
+  struct PoolTotals {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+    uint64_t writebacks = 0;
+    uint64_t eviction_races = 0;
+    uint64_t writeback_failures = 0;
+
+    void Add(const SessionCounters& counters);
+  };
+  PoolTotals Totals() const;
+  /// Folds a dying session's counters into retired_ and unregisters it.
+  void RetireSession(Session* session);
 
   BufferPoolConfig config_;
   StorageEngine* storage_;
@@ -286,40 +328,48 @@ class BufferPool {
 
   SpinLock free_lock_;
   std::vector<FrameId> free_frames_ BPW_GUARDED_BY(free_lock_);
+  // free_frames_.size(), stored under free_lock_ and read without it.
+  // The free list is empty in steady state, so a miss that reads zero skips
+  // free_lock_; a stale zero only sends it to eviction, and the frame
+  // pushed meanwhile is taken by the next miss.
+  std::atomic<size_t> free_hint_{0} BPW_RELAXED_OK(
+      "hint; a stale zero costs one eviction, never correctness");
 
-  // Single-flight miss tracking and the back-pressure wait. Both wait on
-  // pending_cv_. condition_variable_any (not _variable) because it waits on
-  // the annotated bpw::Mutex directly, keeping the guarded_by relation
-  // visible to the thread-safety analysis.
+  // The single-flight and back-pressure waits. Both wait on pending_cv_.
+  // condition_variable_any (not _variable) because it waits on the
+  // annotated bpw::Mutex directly, keeping the guarded_by relation visible
+  // to the thread-safety analysis.
   Mutex pending_mu_;
   std::condition_variable_any pending_cv_;
-  std::unordered_set<PageId> pending_loads_ BPW_GUARDED_BY(pending_mu_);
 
-  // The back-pressure line. Every last unpin loads `waiters`, and no hit
-  // writes this line, so it stays shared-clean in the steady state.
-  struct FrameSignal {
+  // The waiters line. Every last unpin loads `frame_waiters` and every
+  // load's end loads `load_waiters`; no hit writes this line, so it stays
+  // shared-clean in the steady state. The two counts are kept apart so a
+  // loader that gives up its load (and then waits for a frame) never wakes
+  // itself.
+  struct WaitSignal {
     // A stale zero in Unpin loses one notification; the waiter's timed
     // slice bounds the cost.
-    std::atomic<uint32_t> waiters{0} BPW_RELAXED_OK(
+    std::atomic<uint32_t> frame_waiters{0} BPW_RELAXED_OK(
         "a missed waiter costs at most one wait slice");
     // Bumped under pending_mu_ so the condvar wait cannot miss it.
     std::atomic<uint64_t> epoch{0};
+    // Fetchers parked on a page's loading sentinel. Registration and the
+    // loader's check are seq_cst (see PageTable::PublishLoad): the load
+    // wait has no timeout. The relaxed deregistration only risks a spare
+    // wake.
+    std::atomic<uint32_t> load_waiters{0} BPW_RELAXED_OK(
+        "deregistration; a stale nonzero costs one spare wake");
   };
-  CacheAligned<FrameSignal> frame_signal_;
+  CacheAligned<WaitSignal> signal_;
 
-  std::atomic<uint64_t> evictions_{0} BPW_RELAXED_OK("stats counter");
-  std::atomic<uint64_t> writebacks_{0} BPW_RELAXED_OK("stats counter");
-  std::atomic<uint64_t> eviction_races_{0} BPW_RELAXED_OK("stats counter");
-  std::atomic<uint64_t> writeback_failures_{0} BPW_RELAXED_OK("stats counter");
   std::atomic<bool> writeback_failure_logged_{false};
 
-  // Registry counters (sharded; owned by the registry). Hits and misses are
-  // only tallied per-session otherwise, so these give the sampler a pool-
-  // wide live view.
-  obs::Counter* metric_hits_ = nullptr;
-  obs::Counter* metric_misses_ = nullptr;
-  obs::Counter* metric_evictions_ = nullptr;
-  obs::Counter* metric_writebacks_ = nullptr;
+  // Live sessions and the counters of retired ones (see Totals()).
+  mutable Mutex sessions_mu_;
+  std::vector<Session*> sessions_ BPW_GUARDED_BY(sessions_mu_);
+  PoolTotals retired_ BPW_GUARDED_BY(sessions_mu_);
+
   // Declared last so it unregisters before anything it reads is destroyed.
   obs::ScopedMetricSource metrics_source_;
 };

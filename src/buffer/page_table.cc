@@ -25,11 +25,20 @@ bool PageTable::Erase(PageId page, FrameId frame) {
 size_t PageTable::size() const {
   size_t mapped = 0;
   for (size_t page = 0; page < num_pages_; ++page) {
-    if (frames_[page].load(std::memory_order_acquire) != kInvalidFrameId) {
-      ++mapped;
-    }
+    const FrameId frame = frames_[page].load(std::memory_order_acquire);
+    if (frame != kInvalidFrameId && frame != kLoadingFrameId) ++mapped;
   }
   return mapped;
+}
+
+size_t PageTable::loading() const {
+  size_t loads = 0;
+  for (size_t page = 0; page < num_pages_; ++page) {
+    if (frames_[page].load(std::memory_order_acquire) == kLoadingFrameId) {
+      ++loads;
+    }
+  }
+  return loads;
 }
 
 }  // namespace bpw

@@ -1,7 +1,6 @@
 #include "core/bp_wrapper.h"
 
 #include <cassert>
-#include <optional>
 
 #include "obs/contention_profiler.h"
 #include "obs/trace_recorder.h"
@@ -21,14 +20,15 @@ BpWrapperCoordinator::BpWrapperCoordinator(
       metrics_source_(&obs::MetricsRegistry::Default(),
                       [this](obs::MetricsSnapshot& snap) {
                         AppendLockMetrics(snap, lock_.stats());
+                        const CommitTotals totals = Totals();
                         snap.Add("coord.commit_batches",
-                                 static_cast<double>(commit_batches()));
+                                 static_cast<double>(totals.commit_batches));
                         snap.Add("coord.committed_entries",
-                                 static_cast<double>(committed_entries()));
+                                 static_cast<double>(totals.committed_entries));
                         snap.Add("coord.stale_commits",
-                                 static_cast<double>(stale_commits()));
+                                 static_cast<double>(totals.stale_commits));
                         snap.Add("coord.lock_fallbacks",
-                                 static_cast<double>(lock_fallbacks()));
+                                 static_cast<double>(totals.lock_fallbacks));
                       }) {
   if (options_.queue_size == 0) options_.queue_size = 1;
   if (options_.batch_threshold == 0) options_.batch_threshold = 1;
@@ -50,7 +50,22 @@ BpWrapperCoordinator::Slot::~Slot() {
   // Commit any still-queued accesses before the slot goes away.
   owner_->FlushSlot(this);
   MutexGuard guard(owner_->slots_mu_);
+  owner_->retired_.Add(counters);
   owner_->slots_.erase(this);
+}
+
+void BpWrapperCoordinator::CommitTotals::Add(const SlotCounters& counters) {
+  commit_batches += counters.commit_batches.value();
+  committed_entries += counters.committed_entries.value();
+  stale_commits += counters.stale_commits.value();
+  lock_fallbacks += counters.lock_fallbacks.value();
+}
+
+BpWrapperCoordinator::CommitTotals BpWrapperCoordinator::Totals() const {
+  MutexGuard guard(slots_mu_);
+  CommitTotals totals = retired_;
+  for (const Slot* slot : slots_) totals.Add(slot->counters);
+  return totals;
 }
 
 std::unique_ptr<Coordinator::ThreadSlot>
@@ -110,16 +125,15 @@ void BpWrapperCoordinator::CommitAndRelease(Slot* slot) {
   lock_.Unlock();
   // ---- early release: everything below runs outside the critical section.
   BPW_SCHEDULE_POINT("bpw.post_commit");
-  PostCommitBookkeeping(out);
+  PostCommitBookkeeping(slot, out);
 }
 
-void BpWrapperCoordinator::PostCommitBookkeeping(const DrainOutcome& out) {
+void BpWrapperCoordinator::PostCommitBookkeeping(Slot* slot,
+                                                 const DrainOutcome& out) {
   if (out.batches == 0) return;
-  commit_batches_.fetch_add(out.batches, std::memory_order_relaxed);
-  committed_entries_.fetch_add(out.entries, std::memory_order_relaxed);
-  if (out.stale > 0) {
-    stale_commits_.fetch_add(out.stale, std::memory_order_relaxed);
-  }
+  slot->counters.commit_batches.Add(out.batches);
+  slot->counters.committed_entries.Add(out.entries);
+  if (out.stale > 0) slot->counters.stale_commits.Add(out.stale);
   if (out.trace) {
     const uint64_t end = NowNanos();
     obs::TraceEmit(obs::TraceEventKind::kBatchCommit, out.trace_start,
@@ -147,7 +161,7 @@ void BpWrapperCoordinator::OnHit(ThreadSlot* base_slot, PageId page,
   if (!queue.full()) return;
   // Queue completely full: we must block (Fig. 4 line 13).
   BPW_SCHEDULE_POINT("bpw.lock_fallback");
-  lock_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  slot->counters.lock_fallbacks.Add(1);
   if (obs::TraceEnabled()) {
     obs::TraceEmit(obs::TraceEventKind::kLockFallback, NowNanos(), 0);
   }
@@ -161,18 +175,21 @@ StatusOr<Coordinator::Victim> BpWrapperCoordinator::ChooseVictim(
   BPW_SCHEDULE_POINT("bpw.choose_victim");
   if (options_.prefetch) PrefetchForCommit(slot);
   DrainOutcome out;
-  std::optional<StatusOr<Victim>> victim;
-  {
-    ContentionLockGuard guard(lock_);
-    policy_->AssertExclusiveAccess();
-    BPW_PROF_PHASE("choose_victim");
-    // A miss commits the pending accesses first so the policy decides with
-    // the freshest history (Fig. 4, replacement_for_page_miss).
-    if (!options_.test_skip_commit_before_victim) DrainOwnLocked(slot, out);
-    victim.emplace(policy_->ChooseVictim(evictable, incoming));
-  }
-  PostCommitBookkeeping(out);
-  return std::move(*victim);
+  StatusOr<Victim> victim = DrainAndChoose(slot, evictable, incoming, out);
+  PostCommitBookkeeping(slot, out);
+  return victim;
+}
+
+StatusOr<Coordinator::Victim> BpWrapperCoordinator::DrainAndChoose(
+    Slot* slot, const EvictableFn& evictable, PageId incoming,
+    DrainOutcome& out) {
+  ContentionLockGuard guard(lock_);
+  policy_->AssertExclusiveAccess();
+  BPW_PROF_PHASE("choose_victim");
+  // A miss commits the pending accesses first so the policy decides with
+  // the freshest history (Fig. 4, replacement_for_page_miss).
+  if (!options_.test_skip_commit_before_victim) DrainOwnLocked(slot, out);
+  return policy_->ChooseVictim(evictable, incoming);
 }
 
 void BpWrapperCoordinator::CompleteMiss(ThreadSlot* base_slot, PageId page,
@@ -185,7 +202,7 @@ void BpWrapperCoordinator::CompleteMiss(ThreadSlot* base_slot, PageId page,
     DrainOwnLocked(slot, out);
     policy_->OnMiss(page, frame);
   }
-  PostCommitBookkeeping(out);
+  PostCommitBookkeeping(slot, out);
 }
 
 bool BpWrapperCoordinator::OnErase(ThreadSlot* base_slot, PageId page,
@@ -200,7 +217,7 @@ bool BpWrapperCoordinator::OnErase(ThreadSlot* base_slot, PageId page,
     resident = policy_->IsResident(page);
     if (resident) policy_->OnErase(page, frame);
   }
-  PostCommitBookkeeping(out);
+  PostCommitBookkeeping(slot, out);
   return resident;
 }
 
@@ -212,7 +229,7 @@ void BpWrapperCoordinator::FlushSlot(ThreadSlot* base_slot) {
     ContentionLockGuard guard(lock_);
     DrainOwnLocked(slot, out);
   }
-  PostCommitBookkeeping(out);
+  PostCommitBookkeeping(slot, out);
 }
 
 uint64_t BpWrapperCoordinator::StateFingerprint() const {

@@ -28,14 +28,20 @@
 //
 // so the critical section contains nothing but policy updates (early lock
 // release). The contention profiler names the apply phase "commit".
+//
+// The commit counters live in each thread's Slot as single-writer counters
+// (obs::SingleWriterCounter): a commit writes only its own slot's line.
+// Readers sum the live slots plus the totals of destroyed ones.
 #pragma once
 
 #include <unordered_set>
 
 #include "core/access_queue.h"
 #include "core/coordinator.h"
+#include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "sync/mutex.h"
+#include "util/cacheline.h"
 #include "util/clock.h"
 #include "util/thread_annotations.h"
 
@@ -67,9 +73,7 @@ class BpWrapperCoordinator : public Coordinator {
   std::unique_ptr<ThreadSlot> RegisterThread() override;
   void OnHit(ThreadSlot* slot, PageId page, FrameId frame) override;
   StatusOr<Victim> ChooseVictim(ThreadSlot* slot, const EvictableFn& evictable,
-                                PageId incoming) override
-      BPW_HOLD_EFFECT_OK(alloc, "optional<StatusOr> emplace of the victim "
-                                "result; Victim is inline, no heap");
+                                PageId incoming) override;
   void CompleteMiss(ThreadSlot* slot, PageId page, FrameId frame) override;
   bool OnErase(ThreadSlot* slot, PageId page, FrameId frame) override;
   void FlushSlot(ThreadSlot* slot) override;
@@ -88,24 +92,25 @@ class BpWrapperCoordinator : public Coordinator {
 
   const Options& options() const { return options_; }
 
-  // --- Observable counters (all relaxed atomics, post-commit updated) -----
+  // --- Observable counters (summed over slots, post-commit updated) -------
 
-  uint64_t stale_commits() const {
-    return stale_commits_.load(std::memory_order_relaxed);
-  }
+  uint64_t stale_commits() const { return Totals().stale_commits; }
   /// Non-empty queue replays applied to the policy.
-  uint64_t commit_batches() const {
-    return commit_batches_.load(std::memory_order_relaxed);
-  }
-  uint64_t committed_entries() const {
-    return committed_entries_.load(std::memory_order_relaxed);
-  }
+  uint64_t commit_batches() const { return Totals().commit_batches; }
+  uint64_t committed_entries() const { return Totals().committed_entries; }
   /// Queue-completely-full blocking Lock() fallbacks (Fig. 4 line 13).
-  uint64_t lock_fallbacks() const {
-    return lock_fallbacks_.load(std::memory_order_relaxed);
-  }
+  uint64_t lock_fallbacks() const { return Totals().lock_fallbacks; }
 
  private:
+  /// A slot's commit counters; written only by the slot's thread, on a
+  /// line of their own.
+  struct alignas(kCacheLineSize) SlotCounters {
+    obs::SingleWriterCounter commit_batches;
+    obs::SingleWriterCounter committed_entries;
+    obs::SingleWriterCounter stale_commits;
+    obs::SingleWriterCounter lock_fallbacks;
+  };
+
   class Slot : public ThreadSlot {
    public:
     Slot(BpWrapperCoordinator* owner, size_t queue_size)
@@ -114,7 +119,19 @@ class BpWrapperCoordinator : public Coordinator {
 
     BpWrapperCoordinator* owner_;
     AccessQueue queue;
+    SlotCounters counters;
   };
+
+  struct CommitTotals {
+    uint64_t commit_batches = 0;
+    uint64_t committed_entries = 0;
+    uint64_t stale_commits = 0;
+    uint64_t lock_fallbacks = 0;
+
+    void Add(const SlotCounters& counters);
+  };
+  /// Live slots' counters plus the totals of destroyed slots.
+  CommitTotals Totals() const;
 
   /// What one locked apply phase did; consumed by the lock-free
   /// post-commit phase after the early release. Construction stamps the
@@ -135,6 +152,11 @@ class BpWrapperCoordinator : public Coordinator {
   /// re-validation and clears it.
   void DrainOwnLocked(Slot* slot, DrainOutcome& out) BPW_REQUIRES(lock_);
 
+  /// ChooseVictim's locked part: commit the queue, then ask the policy.
+  StatusOr<Victim> DrainAndChoose(Slot* slot, const EvictableFn& evictable,
+                                  PageId incoming, DrainOutcome& out)
+      BPW_EXCLUDES(lock_);
+
   /// The batched commit: locked apply phase, then EARLY RELEASE, then the
   /// lock-free post-commit phase. Annotated RELEASE: callers enter holding
   /// lock_ and leave without it.
@@ -142,10 +164,11 @@ class BpWrapperCoordinator : public Coordinator {
       BPW_HOLD_EFFECT_OK(clock, "commit-latency trace stamp; one vDSO read "
                                 "per commit, only when tracing is on");
 
-  /// Post-commit phase shared by every path: folds `out` into the
+  /// Post-commit phase shared by every path: folds `out` into the slot's
   /// counters. Must run WITHOUT lock_ held — bpw_check's
   /// post-commit-under-lock rule exists to keep it that way.
-  void PostCommitBookkeeping(const DrainOutcome& out) BPW_EXCLUDES(lock_)
+  void PostCommitBookkeeping(Slot* slot, const DrainOutcome& out)
+      BPW_EXCLUDES(lock_)
       BPW_HOLD_EFFECT_OK(clock,
                          "trace stamp; runs after lock_ is released");
 
@@ -153,14 +176,10 @@ class BpWrapperCoordinator : public Coordinator {
   Options options_;
   ContentionLock lock_;
 
-  std::atomic<uint64_t> stale_commits_{0} BPW_RELAXED_OK("stats counter");
-  std::atomic<uint64_t> commit_batches_{0} BPW_RELAXED_OK("stats counter");
-  std::atomic<uint64_t> committed_entries_{0} BPW_RELAXED_OK("stats counter");
-  std::atomic<uint64_t> lock_fallbacks_{0} BPW_RELAXED_OK("stats counter");
-
-  // Live-slot registry.
-  Mutex slots_mu_;
+  // Live-slot registry and the counters of destroyed slots.
+  mutable Mutex slots_mu_;
   std::unordered_set<Slot*> slots_ BPW_GUARDED_BY(slots_mu_);
+  CommitTotals retired_ BPW_GUARDED_BY(slots_mu_);
 
   // Declared last so it unregisters before anything it reads is destroyed.
   obs::ScopedMetricSource metrics_source_;

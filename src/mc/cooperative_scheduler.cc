@@ -116,7 +116,9 @@ void CooperativeScheduler::MarkProgress(int op_index) {
   const int id = g_worker_id;
   if (id < 0) return;
   std::unique_lock<std::mutex> lk(mu_);
-  workers_[static_cast<size_t>(id)].op_index = op_index;
+  Worker& w = workers_[static_cast<size_t>(id)];
+  w.op_index = op_index;
+  w.path = 0;
 }
 
 // --- Hook overrides --------------------------------------------------------
@@ -139,7 +141,7 @@ void CooperativeScheduler::LockWillAcquire(const void* lock,
   while (!aborted_ && lock_holder_.count(lock) != 0) {
     w.phase = Phase::kBlockedLock;
     w.waiting_lock = lock;
-    w.point = point;
+    Reach(w, point);
     w.obj = lock;
     ScheduleNextLocked(id, /*parking_enabled=*/false);
     WaitUntilScheduledLocked(lk, id);
@@ -179,7 +181,7 @@ void CooperativeScheduler::LockReleased(const void* lock, const char* point) {
   // A release enables blocked waiters — a mandatory decision point for any
   // exploration that wants to see handoffs.
   w.phase = Phase::kRunnable;
-  w.point = point;
+  Reach(w, point);
   w.obj = lock;
   ScheduleNextLocked(id, /*parking_enabled=*/true);
   WaitUntilScheduledLocked(lk, id);
@@ -200,7 +202,7 @@ void CooperativeScheduler::Yield(const char* point) {
   // switching away from it free — it asked for the switch.
   w.passive = true;
   w.phase = Phase::kRunnable;
-  w.point = point;
+  Reach(w, point);
   w.obj = nullptr;
   ScheduleNextLocked(id, /*parking_enabled=*/true);
   WaitUntilScheduledLocked(lk, id);
@@ -238,7 +240,7 @@ bool CooperativeScheduler::CommitWait(const void* cv) {
   if (!w.cv_signalled) {
     // Nothing arrived between PrepareWait and here: block until NotifyAll.
     w.phase = Phase::kBlockedCv;
-    w.point = "cv.wait";
+    Reach(w, "cv.wait");
     w.obj = cv;
     ScheduleNextLocked(id, /*parking_enabled=*/false);
     WaitUntilScheduledLocked(lk, id);
@@ -349,6 +351,7 @@ uint64_t CooperativeScheduler::ThreadStateHashLocked() const {
     fp.Combine(w.passive ? 1 : 0);
     fp.Combine(static_cast<uint64_t>(static_cast<int64_t>(w.op_index)));
     fp.Combine(HashPointName(w.point));
+    fp.Combine(w.path);
     fp.Combine(w.cv_signalled ? 1 : 0);
   }
   return fp.value();
@@ -440,13 +443,18 @@ void CooperativeScheduler::WaitUntilScheduledLocked(
   cv_.wait(lk, [&] { return aborted_ || running_ == id; });
 }
 
+void CooperativeScheduler::Reach(Worker& w, const char* point) {
+  w.point = point;
+  w.path = (w.path ^ HashPointName(point)) * 1099511628211ULL;
+}
+
 void CooperativeScheduler::ParkAtPoint(int id, const char* point,
                                        const void* obj) {
   std::unique_lock<std::mutex> lk(mu_);
   if (aborted_) return;
   Worker& w = workers_[static_cast<size_t>(id)];
   w.phase = Phase::kRunnable;
-  w.point = point;
+  Reach(w, point);
   w.obj = obj;
   ScheduleNextLocked(id, /*parking_enabled=*/true);
   WaitUntilScheduledLocked(lk, id);

@@ -81,8 +81,8 @@ struct DecisionContext {
   uint64_t decision_index = 0;
   /// Combined structural fingerprint: scenario state (pool/coordinator/
   /// policy, via the installed fingerprint provider) mixed with per-worker
-  /// control state (parked point, op progress, passivity). Zero when no
-  /// provider is installed.
+  /// control state (the points passed so far in the current op, op
+  /// progress, passivity). Zero when no provider is installed.
   uint64_t state_fingerprint = 0;
   bool fingerprint_supported = false;
   /// Stable signature of the candidate set (threads + point names), for
@@ -180,6 +180,13 @@ class CooperativeScheduler : public testing::ScheduleController {
     Phase phase = Phase::kNotAttached;
     bool passive = false;  // set by Yield, cleared on schedule (CHESS rule)
     const char* point = nullptr;
+    // Hash of every point passed since the op began (MarkProgress). A point
+    // name alone does not place a worker in the code: "contention_lock.
+    // unlock" ends a victim selection and a miss registration alike, with
+    // different locals (the victim) live, and merging such states in the
+    // visited-state dedup prunes schedules neither state's exploration
+    // covered.
+    uint64_t path = 0;
     const void* obj = nullptr;
     const void* waiting_lock = nullptr;
     const void* waiting_cv = nullptr;
@@ -198,6 +205,8 @@ class CooperativeScheduler : public testing::ScheduleController {
   void ScheduleNextLocked(int parking, bool parking_enabled);
   /// Parks the calling worker until it is scheduled (or the run aborts).
   void WaitUntilScheduledLocked(std::unique_lock<std::mutex>& lk, int id);
+  /// Records that `w` reached `point` (its parked point and op path).
+  static void Reach(Worker& w, const char* point);
   /// Full "decision point" sequence for a still-enabled worker: mark
   /// runnable, schedule, wait.
   void ParkAtPoint(int id, const char* point, const void* obj);

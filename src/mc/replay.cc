@@ -50,7 +50,13 @@ std::string SerializeReplay(const ReplayFile& replay) {
   out << "param batch_threshold " << c.batch_threshold << "\n";
   out << "param ops_per_thread " << c.ops_per_thread << "\n";
   out << "param eviction_retries " << c.eviction_retries << "\n";
-  if (!c.trace.empty()) out << "param trace " << JoinPages(c.trace) << "\n";
+  if (!c.thread_traces.empty()) {
+    out << "param thread_traces ";
+    for (size_t t = 0; t < c.thread_traces.size(); ++t) {
+      out << (t > 0 ? "/" : "") << JoinPages(c.thread_traces[t]);
+    }
+    out << "\n";
+  }
   out << "param serial_equivalence " << (c.check_serial_equivalence ? 1 : 0)
       << "\n";
   out << "param mutate_skip_victim_revalidation "
@@ -129,9 +135,16 @@ StatusOr<ReplayFile> ParseReplay(const std::string& text) {
           c.ops_per_thread = std::stoi(value);
         } else if (key == "eviction_retries") {
           c.eviction_retries = std::stoi(value);
-        } else if (key == "trace") {
-          if (!ParsePages(value, &c.trace)) {
-            return Status::InvalidArgument("replay: bad trace '" + value + "'");
+        } else if (key == "thread_traces") {
+          c.thread_traces.clear();
+          std::istringstream traces(value);
+          std::string one;
+          while (std::getline(traces, one, '/')) {
+            c.thread_traces.emplace_back();
+            if (!ParsePages(one, &c.thread_traces.back())) {
+              return Status::InvalidArgument("replay: bad thread_traces '" +
+                                             value + "'");
+            }
           }
         } else if (key == "serial_equivalence") {
           c.check_serial_equivalence = value == "1";

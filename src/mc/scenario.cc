@@ -200,24 +200,29 @@ StatusOr<ScenarioConfig> Scenario::Preset(const std::string& name) {
     config.threads = 1;
     config.pages = 3;
     config.frames = 2;
-    config.trace = {0, 1, 0, 2, 0};
+    config.thread_traces = {{0, 1, 0, 2, 0}};
     config.check_serial_equivalence = true;
     return config;
   }
   if (name == "backpressure") {
-    // Three fetchers, two frames, every op a miss until the pages settle:
-    // one fetcher can miss while the other two hold both frames pinned, or
-    // while a frame is mid-eviction. With no eviction retries (and so no
-    // yield that would let the pin holders run first) such a miss goes
-    // straight to the back-pressure path: register, retry once, then wait
-    // for an unpin. A lost wakeup there leaves the waiter parked after its
-    // peers finish, which the scheduler reports as a deadlock.
+    // Three fetchers, two frames. Thread 0 loads pages 0 and 1 and then
+    // misses page 2; threads 1 and 2 hit pages 0 and 1. One preemption —
+    // thread 0 inside its victim selection, holding the policy lock —
+    // lets the two hitters pin both frames and block on that lock, so the
+    // miss loses its claim race, finds both frames pinned, and takes the
+    // back-pressure path: register, retry once, then wait for an unpin.
+    // The hitters then unpin and finish with no further eviction, so an
+    // unpin that fails to signal leaves the waiter parked after its peers
+    // finish, which the scheduler reports as a deadlock. The hitters also
+    // look pages up while thread 0 loads them, which exercises the
+    // single-flight wait and its wakeup the same way. With no eviction
+    // retries there is no yield that would let the pin holders run first.
     config.coordinator = "serialized";
     config.threads = 3;
-    config.pages = 4;
+    config.pages = 3;
     config.frames = 2;
-    config.ops_per_thread = 2;
     config.eviction_retries = 0;
+    config.thread_traces = {{0, 1, 2}, {0, 1}, {1, 0}};
     return config;
   }
   return Status::InvalidArgument("unknown scenario '" + name + "'");
@@ -228,7 +233,10 @@ std::vector<std::string> Scenario::PresetNames() {
 }
 
 std::vector<PageId> Scenario::TraceFor(int thread) const {
-  if (!config_.trace.empty()) return config_.trace;
+  if (!config_.thread_traces.empty()) {
+    return config_.thread_traces[static_cast<size_t>(thread) %
+                                 config_.thread_traces.size()];
+  }
   std::vector<PageId> trace;
   trace.reserve(static_cast<size_t>(config_.ops_per_thread));
   for (int j = 0; j < config_.ops_per_thread; ++j) {

@@ -51,9 +51,10 @@ struct ScenarioConfig {
   /// BufferPoolConfig::eviction_retries: victim selections a miss tries
   /// before it falls back to the back-pressure wait.
   int eviction_retries = 64;
-  /// Explicit per-thread access trace; when empty, thread t's op j accesses
-  /// page (t*2 + j) % pages.
-  std::vector<PageId> trace;
+  /// Explicit access traces: thread t runs entry t % size (one entry means
+  /// every thread runs the same trace). When empty, thread t's op j
+  /// accesses page (t*2 + j) % pages.
+  std::vector<std::vector<PageId>> thread_traces;
   /// Compare per-op hit/miss against a mutation-free reference run
   /// (single-threaded scenarios only; ignored otherwise).
   bool check_serial_equivalence = false;
@@ -113,12 +114,14 @@ class Scenario {
   ///   "serial"   — 1 thread through the "bp-wrapper" coordinator with a
   ///                trace whose hit/miss pattern is sensitive to the
   ///                commit-before-victim rule; serial equivalence on.
-  ///   "backpressure" — 3 fetchers missing over 2 frames with no eviction
-  ///                retries: a miss that finds both frames pinned or in
-  ///                flight takes the wait-for-unpin path. No
+  ///   "backpressure" — 3 fetchers over 2 frames with no eviction
+  ///                retries: one loads two pages and misses a third while
+  ///                the other two hit the first two, so a miss can find
+  ///                both frames pinned (or in flight, or mid-load) and
+  ///                take the wait-for-unpin or single-flight wait. No
   ///                ResourceExhausted unless both frames are pinned, and
   ///                no lost wakeup (which the scheduler reports as a
-  ///                deadlock).
+  ///                deadlock) — both reachable at one preemption.
   static StatusOr<ScenarioConfig> Preset(const std::string& name);
   static std::vector<std::string> PresetNames();
 

@@ -224,11 +224,8 @@ void ProfWaiterExit(ProfSiteId site) {
   path->cur_waiters.fetch_sub(1, std::memory_order_relaxed);
 }
 
-ScopedProfPhase::ScopedProfPhase(ProfSiteId site) {
-  // Active when either consumer wants the data: the accumulators (profiler)
-  // or the span stream (tracer). Inactive scopes stay at kInvalidProfSite
-  // and the destructor is a single branch.
-  if (!ProfilerEnabled() && !TraceEnabled()) return;
+void ScopedProfPhase::Begin(ProfSiteId site) {
+  // Inactive scopes stay at kInvalidProfSite and skip End().
   PhaseStack& stack = tls_phase_stack;
   if (stack.depth >= kMaxProfPhaseDepth) return;
   const ProfSiteId parent =
@@ -241,8 +238,7 @@ ScopedProfPhase::ScopedProfPhase(ProfSiteId site) {
   frame.child_nanos = 0;
 }
 
-ScopedProfPhase::~ScopedProfPhase() {
-  if (path_ == kInvalidProfSite) return;
+void ScopedProfPhase::End() {
   PhaseStack& stack = tls_phase_stack;
   const PhaseFrame frame = stack.frames[--stack.depth];
   const uint64_t now = NowNanos();

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "obs/prof_site.h"
+#include "obs/trace_recorder.h"
 #include "util/histogram.h"
 
 namespace bpw {
@@ -145,15 +146,27 @@ void ResetProfiler();
 /// the scope (and its clock reads) entirely; bpw_check's hold prover flags
 /// direct ScopedProfPhase construction inside critical sections for this
 /// reason.
+///
+/// Active when either consumer wants the data: the accumulators (profiler)
+/// or the span stream (tracer). With both off, construction is two inline
+/// relaxed loads and destruction one branch; only an active scope calls out
+/// of line.
 class ScopedProfPhase {
  public:
-  explicit ScopedProfPhase(ProfSiteId site);
-  ~ScopedProfPhase();
+  explicit ScopedProfPhase(ProfSiteId site) {
+    if (ProfilerEnabled() || TraceEnabled()) Begin(site);
+  }
+  ~ScopedProfPhase() {
+    if (path_ != kInvalidProfSite) End();
+  }
 
   ScopedProfPhase(const ScopedProfPhase&) = delete;
   ScopedProfPhase& operator=(const ScopedProfPhase&) = delete;
 
  private:
+  void Begin(ProfSiteId site);
+  void End();
+
   ProfSiteId path_ = kInvalidProfSite;  // resolved against the phase stack
 };
 

@@ -10,12 +10,19 @@
 // an instrumented hot path pays at most one relaxed atomic add (one relaxed
 // load + branch when disabled).
 //
-// Components that already maintain their own atomic counters (ContentionLock,
-// StorageEngine, the coordinators) do not mirror every increment into the
-// registry — that would double the hot-path cost. They register a *source*:
-// a callback the registry invokes at snapshot time to contribute named
-// values. Duplicate names accumulate, so two coordinators alive at once sum
-// into one series.
+// Components that already maintain their own counters (ContentionLock,
+// StorageEngine, the coordinators, the buffer pool) do not mirror every
+// increment into the registry — that would double the hot-path cost. They
+// register a *source*: a callback the registry invokes at snapshot time to
+// contribute named values. Duplicate names accumulate, so two coordinators
+// alive at once sum into one series.
+//
+// The counter idiom for hot paths is SingleWriterCounter: each counter has
+// one writer (a session, a coordinator thread slot, or whoever holds a
+// storage stripe's lock), which adds with a relaxed load and store — no
+// locked read-modify-write, and no line another writer touches. The
+// component's source sums its live counters plus the totals of retired
+// ones at snapshot time.
 #pragma once
 
 #include <atomic>
@@ -83,6 +90,28 @@ class Counter {
 
  private:
   CacheAligned<std::atomic<uint64_t>> cells_[kShards];
+};
+
+/// A monotonic counter with exactly one writer at a time: the thread that
+/// owns it, or whoever holds the lock that serializes its writers. Add() is
+/// a relaxed load plus a relaxed store — a plain increment on the owner's
+/// own cache line, never a locked RMW — and any thread may read value()
+/// concurrently (a moment-in-time lower bound, exact once the writer
+/// quiesces). Two concurrent writers would lose increments; that is the
+/// contract, not a race this type tolerates.
+class SingleWriterCounter {
+ public:
+  void Add(uint64_t n) {
+    value_.store(value_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+  }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  /// Writer-side reset (the same single-writer rule as Add).
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> value_{0} BPW_RELAXED_OK(
+      "single writer; readers sum a moment-in-time value");
 };
 
 /// A point-in-time signed value (queue depth, free frames, ...).

@@ -55,13 +55,14 @@ thread_local TlsCache tls_cache;
 
 }  // namespace
 
-TraceRecorder::TraceRecorder()
-    : recorder_id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)) {
-}
+TraceRecorder::TraceRecorder(std::atomic<bool>* enabled_flag)
+    : recorder_id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
+      enabled_(enabled_flag != nullptr ? enabled_flag : &own_enabled_) {}
 
 TraceRecorder& TraceRecorder::Default() {
   // Leaked on purpose: worker threads may emit during static destruction.
-  static TraceRecorder* instance = new TraceRecorder();
+  static TraceRecorder* instance =
+      new TraceRecorder(&internal::g_default_trace_enabled);
   return *instance;
 }
 

@@ -15,7 +15,9 @@
 // is race-free; an export taken while writers are running may see a few
 // half-written (torn) events, which is acceptable for a diagnostic trace —
 // export after joining workers for exact output. When tracing is disabled
-// (the default) an instrumented code path pays one relaxed load + branch.
+// (the default) an instrumented code path pays one relaxed load + branch:
+// TraceEnabled() reads the default recorder's switch, an inline global,
+// without going through TraceRecorder::Default().
 #pragma once
 
 #include <atomic>
@@ -30,6 +32,12 @@
 
 namespace bpw {
 namespace obs {
+
+namespace internal {
+/// TraceRecorder::Default()'s recording switch (see TraceEnabled()).
+inline std::atomic<bool> g_default_trace_enabled{false} BPW_RELAXED_OK(
+    "recording switch; emitters may observe a toggle late");
+}  // namespace internal
 
 enum class TraceEventKind : uint32_t {
   kLockWait = 0,     ///< span: blocked inside Lock()
@@ -55,13 +63,13 @@ class TraceRecorder {
       BPW_HOLD_EFFECT_OK(alloc, "one-time lazy singleton construction; "
                                 "steady-state calls never allocate");
 
-  TraceRecorder();
+  TraceRecorder() : TraceRecorder(nullptr) {}
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  bool enabled() const { return enabled_->load(std::memory_order_relaxed); }
   void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
+    enabled_->store(enabled, std::memory_order_relaxed);
   }
 
   /// Ring capacity (events) for buffers created after this call. Existing
@@ -109,6 +117,10 @@ class TraceRecorder {
         "per-word-atomic ring payload; racy export reads are by design");
   };
 
+  /// `enabled_flag` is the switch to use, or nullptr for the recorder's
+  /// own (Default() passes the inline global TraceEnabled() reads).
+  explicit TraceRecorder(std::atomic<bool>* enabled_flag);
+
   ThreadBuffer* BufferForThisThread();
 
   // Process-unique, never reused: the per-thread buffer cache keys on this
@@ -116,7 +128,8 @@ class TraceRecorder {
   // a destroyed one lived can never validate a stale cache entry.
   const uint64_t recorder_id_;
 
-  std::atomic<bool> enabled_{false} BPW_RELAXED_OK(
+  std::atomic<bool> own_enabled_{false};
+  std::atomic<bool>* const enabled_ BPW_RELAXED_OK(
       "recording switch; emitters may observe a toggle late");
   // 16Ki events/thread (512 KiB). Set while quiesced.
   std::atomic<size_t> capacity_{1 << 14} BPW_RELAXED_OK(
@@ -127,7 +140,10 @@ class TraceRecorder {
 };
 
 /// Convenience wrappers over TraceRecorder::Default() for hot paths.
-inline bool TraceEnabled() { return TraceRecorder::Default().enabled(); }
+/// TraceEnabled() is Default().enabled() as one inline relaxed load.
+inline bool TraceEnabled() {
+  return internal::g_default_trace_enabled.load(std::memory_order_relaxed);
+}
 inline void TraceEmit(TraceEventKind kind, uint64_t start_nanos,
                       uint64_t dur_nanos, uint64_t arg = 0) {
   TraceRecorder::Default().Emit(kind, start_nanos, dur_nanos, arg);

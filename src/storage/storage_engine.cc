@@ -16,7 +16,7 @@ StorageEngine::StorageEngine(uint64_t num_pages, size_t page_size,
       model_(model),
       materialize_(materialize),
       verification_(num_pages * 2, 0),
-      page_locks_(kLockStripes) {
+      stripes_(kLockStripes) {
   if (materialize_) {
     data_.resize(num_pages_ * page_size_, 0);
   }
@@ -40,9 +40,9 @@ StorageEngine::StorageEngine(uint64_t num_pages, size_t page_size,
       });
 }
 
-void StorageEngine::ApplyLatency(uint64_t base_nanos, uint64_t extra_nanos,
-                                 std::atomic<uint64_t>& counter) {
-  if (base_nanos == 0 && extra_nanos == 0) return;
+uint64_t StorageEngine::ApplyLatency(uint64_t base_nanos,
+                                     uint64_t extra_nanos) {
+  if (base_nanos == 0 && extra_nanos == 0) return 0;
   uint64_t nanos = base_nanos;
   if (model_.exponential && base_nanos != 0) {
     double u;
@@ -64,7 +64,7 @@ void StorageEngine::ApplyLatency(uint64_t base_nanos, uint64_t extra_nanos,
   } else {
     BusyWaitNanos(nanos);
   }
-  counter.fetch_add(nanos, std::memory_order_relaxed);
+  return nanos;
 }
 
 Status StorageEngine::ReadPage(PageId page, void* buf) {
@@ -78,19 +78,20 @@ Status StorageEngine::ReadPage(PageId page, void* buf) {
     if (!d.status.ok()) return d.status;
     extra_nanos = d.extra_latency_nanos;
   }
-  ApplyLatency(model_.read_nanos, extra_nanos, read_nanos_);
+  const uint64_t nanos = ApplyLatency(model_.read_nanos, extra_nanos);
   {
-    SpinLock& lock = LockFor(page);
-    lock.lock();
+    Stripe& stripe = StripeFor(page);
+    stripe.lock.lock();
     if (materialize_) {
       std::memcpy(buf, &data_[page * page_size_], page_size_);
     } else {
       std::memset(buf, 0, page_size_);
       std::memcpy(buf, &verification_[page * 2], 2 * sizeof(uint64_t));
     }
-    lock.unlock();
+    stripe.reads.Add(1);
+    stripe.read_nanos.Add(nanos);
+    stripe.lock.unlock();
   }
-  reads_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -107,10 +108,10 @@ Status StorageEngine::WritePage(PageId page, const void* buf) {
     extra_nanos = d.extra_latency_nanos;
     tear = d.tear_write;
   }
-  ApplyLatency(model_.write_nanos, extra_nanos, write_nanos_);
+  const uint64_t nanos = ApplyLatency(model_.write_nanos, extra_nanos);
   {
-    SpinLock& lock = LockFor(page);
-    lock.lock();
+    Stripe& stripe = StripeFor(page);
+    stripe.lock.lock();
     if (materialize_) {
       std::memcpy(&data_[page * page_size_], buf,
                   tear ? sizeof(uint64_t) : page_size_);
@@ -120,9 +121,10 @@ Status StorageEngine::WritePage(PageId page, const void* buf) {
     // exactly the inconsistency StampConsistent() detects.
     std::memcpy(&verification_[page * 2], buf,
                 tear ? sizeof(uint64_t) : 2 * sizeof(uint64_t));
-    lock.unlock();
+    stripe.writes.Add(1);
+    stripe.write_nanos.Add(nanos);
+    stripe.lock.unlock();
   }
-  writes_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -134,18 +136,24 @@ bool StorageEngine::StampConsistent(PageId page) const {
 
 StorageStats StorageEngine::stats() const {
   StorageStats s;
-  s.reads = reads_.load(std::memory_order_relaxed);
-  s.writes = writes_.load(std::memory_order_relaxed);
-  s.read_nanos = read_nanos_.load(std::memory_order_relaxed);
-  s.write_nanos = write_nanos_.load(std::memory_order_relaxed);
+  for (const CacheAligned<Stripe>& stripe : stripes_) {
+    s.reads += stripe->reads.value();
+    s.writes += stripe->writes.value();
+    s.read_nanos += stripe->read_nanos.value();
+    s.write_nanos += stripe->write_nanos.value();
+  }
   return s;
 }
 
 void StorageEngine::ResetStats() {
-  reads_.store(0, std::memory_order_relaxed);
-  writes_.store(0, std::memory_order_relaxed);
-  read_nanos_.store(0, std::memory_order_relaxed);
-  write_nanos_.store(0, std::memory_order_relaxed);
+  for (CacheAligned<Stripe>& stripe : stripes_) {
+    stripe->lock.lock();
+    stripe->reads.Reset();
+    stripe->writes.Reset();
+    stripe->read_nanos.Reset();
+    stripe->write_nanos.Reset();
+    stripe->lock.unlock();
+  }
 }
 
 uint64_t StorageEngine::VerificationWord(PageId page) const {

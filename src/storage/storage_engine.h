@@ -83,8 +83,11 @@ class StorageEngine {
   uint64_t num_pages() const { return num_pages_; }
   size_t page_size() const { return page_size_; }
 
-  /// Snapshot of I/O counters.
+  /// Snapshot of I/O counters: the sum over the lock stripes. Safe while
+  /// I/O runs (a moment-in-time lower bound, exact once I/O quiesces).
   StorageStats stats() const;
+  /// Zeroes the counters, one stripe at a time under its lock; I/O racing
+  /// the reset lands wholly before or after it.
   void ResetStats();
 
   /// Test hook: the verification word currently stored for `page`.
@@ -114,10 +117,20 @@ class StorageEngine {
   static std::pair<PageId, uint64_t> ReadStamp(const void* buf);
 
  private:
-  void ApplyLatency(uint64_t base_nanos, uint64_t extra_nanos,
-                    std::atomic<uint64_t>& counter);
-  SpinLock& LockFor(PageId page) {
-    return page_locks_[page % kLockStripes].value;
+  /// Waits out one I/O's modelled latency; returns the nanoseconds waited.
+  uint64_t ApplyLatency(uint64_t base_nanos, uint64_t extra_nanos);
+
+  /// One lock stripe: the lock serializing its pages' I/O, and that I/O's
+  /// counters, written only under the lock (so one writer at a time).
+  struct Stripe {
+    SpinLock lock;
+    obs::SingleWriterCounter reads;
+    obs::SingleWriterCounter writes;
+    obs::SingleWriterCounter read_nanos;
+    obs::SingleWriterCounter write_nanos;
+  };
+  Stripe& StripeFor(PageId page) {
+    return stripes_[page % kLockStripes].value;
   }
 
   static constexpr size_t kLockStripes = 64;
@@ -127,19 +140,15 @@ class StorageEngine {
   StorageLatencyModel model_;
   bool materialize_;
 
-  // data_ / verification_ are sharded across the striped page_locks_, a
+  // data_ / verification_ are sharded across the stripe locks, a
   // many-to-one guarding the annotation language cannot express (guarded_by
   // names exactly one capability). The stripe discipline — byte ranges of a
-  // page are only touched under LockFor(page) — is enforced by keeping all
-  // access inside Read/WritePage and verified dynamically by TSan.
+  // page are only touched under StripeFor(page).lock — is enforced by
+  // keeping all access inside Read/WritePage and verified dynamically by
+  // TSan.
   std::vector<uint8_t> data_;           // materialized page contents
   std::vector<uint64_t> verification_;  // first 16 bytes of each page (2 words)
-  mutable std::vector<CacheAligned<SpinLock>> page_locks_;
-
-  std::atomic<uint64_t> reads_{0} BPW_RELAXED_OK("stats counter");
-  std::atomic<uint64_t> writes_{0} BPW_RELAXED_OK("stats counter");
-  std::atomic<uint64_t> read_nanos_{0} BPW_RELAXED_OK("stats counter");
-  std::atomic<uint64_t> write_nanos_{0} BPW_RELAXED_OK("stats counter");
+  std::vector<CacheAligned<Stripe>> stripes_;
 
   // Latency jitter source; protected by its own lock because Random is not
   // thread-safe. Only used when model_.exponential is set.

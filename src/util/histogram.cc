@@ -30,6 +30,9 @@ int Histogram::BucketFor(uint64_t value) {
 uint64_t Histogram::BucketLow(int bucket) {
   if (bucket < 4) return static_cast<uint64_t>(bucket);
   int log2 = (bucket + 4) / 4;
+  // The last buckets lie past 2^64 and BucketFor never fills them; their
+  // bound saturates rather than shifting by 64 (undefined behaviour).
+  if (log2 > 63) return std::numeric_limits<uint64_t>::max();
   int sub = (bucket + 4) % 4;
   return (1ULL << log2) + (static_cast<uint64_t>(sub) << (log2 - 2));
 }

@@ -454,6 +454,36 @@ TEST(PinProtocolTest, StalePinOnAFreeFrameDoesNotCancelTheLoaderPin) {
   EXPECT_TRUE(pool.DropPage(*main_session, 2).ok());
 }
 
+TEST(PinProtocolTest, DropOfAPageMidLoadIsRefused) {
+  // A page whose load is in flight is in the table as the loading
+  // sentinel: DropPage must refuse it as busy, not report it absent or
+  // unmap it under the loader.
+  TwoFramePool fixture;
+  BufferPool& pool = *fixture.pool;
+  auto loader_session = pool.CreateSession();
+  auto main_session = pool.CreateSession();
+
+  PointGate gate;
+  gate.StopAt("pool.miss_read");  // load claimed, frame taken, not read
+  bool loaded = false;
+  std::thread loader([&pool, &loader_session, &loaded] {
+    PointGate::Gate();
+    auto handle = pool.FetchPage(*loader_session, 4);
+    loaded = handle.ok() && HoldsPage(handle.value(), 4);
+  });
+  gate.WaitParked();
+
+  const Status mid_load = pool.DropPage(*main_session, 4);
+  EXPECT_EQ(mid_load.code(), StatusCode::kFailedPrecondition)
+      << mid_load.ToString();
+
+  gate.Resume(nullptr);
+  loader.join();
+  EXPECT_TRUE(loaded);
+  EXPECT_TRUE(pool.DropPage(*main_session, 4).ok());
+  EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
+}
+
 #endif  // BPW_SCHEDULE_POINTS
 
 }  // namespace

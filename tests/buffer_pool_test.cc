@@ -2,9 +2,14 @@
 // pinning, eviction, dirty write-back, drop, and integrity.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "buffer/buffer_pool.h"
+#include "core/coordinator_factory.h"
 #include "core/serialized_coordinator.h"
+#include "obs/metrics.h"
 #include "policy/lru.h"
+#include "testing/fault_injector.h"
 
 namespace bpw {
 namespace {
@@ -261,6 +266,107 @@ TEST(BufferPoolTest, IntegrityAfterChurn) {
   EXPECT_TRUE(pool->CheckIntegrity().ok())
       << pool->CheckIntegrity().ToString();
   EXPECT_TRUE(pool->FlushAll().ok());
+}
+
+TEST(BufferPoolTest, FailedReadEndsTheLoad) {
+  // A read the fault injector fails must give the page's load up: the
+  // table holds no loading sentinel afterwards, and the next fetch of the
+  // page loads it.
+  StorageEngine storage(16, kPageSize);
+  testing::FaultPlan plan;
+  plan.read_error_probability = 1.0;
+  testing::FaultInjector injector(plan);
+  storage.SetFaultInjector(&injector);
+  auto pool = MakePool(&storage, 4);
+  auto session = pool->CreateSession();
+
+  auto failed = pool->FetchPage(*session, 3);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  EXPECT_TRUE(pool->DropPage(*session, 3).IsNotFound())
+      << "a failed load must not leave the page mapped or loading";
+  EXPECT_TRUE(pool->CheckIntegrity().ok()) << pool->CheckIntegrity().ToString();
+  EXPECT_EQ(session->stats().misses, 0u) << "a failed load is not a miss";
+
+  storage.SetFaultInjector(nullptr);
+  auto loaded = pool->FetchPage(*session, 3);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto [word, version] = StorageEngine::ReadStamp(loaded->data());
+  EXPECT_EQ(word, 3 * 0x9E3779B97F4A7C15ULL + version);
+  EXPECT_EQ(session->stats().misses, 1u);
+  loaded.value().Release();
+  EXPECT_TRUE(pool->CheckIntegrity().ok()) << pool->CheckIntegrity().ToString();
+}
+
+TEST(BufferPoolTest, RegistryCountersAreTheSessionTotalsAndStayMonotone) {
+  // buffer.* and coord.* are summed from per-session and per-slot
+  // counters at snapshot time; destroying sessions (and with them the
+  // BP-Wrapper slots) must fold their counts into the totals, not drop
+  // them.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  const obs::MetricsSnapshot before = registry.Snapshot();
+  StorageEngine storage(64, kPageSize);
+  auto system = PaperSystemConfig("pgBatPre");
+  ASSERT_TRUE(system.ok());
+  auto coordinator = CreateCoordinator(system.value(), 8);
+  ASSERT_TRUE(coordinator.ok());
+  BufferPoolConfig config;
+  config.num_frames = 8;
+  config.page_size = kPageSize;
+  BufferPool pool(config, &storage, std::move(coordinator).value());
+
+  std::vector<std::unique_ptr<BufferPool::Session>> sessions;
+  for (int t = 0; t < 2; ++t) sessions.push_back(pool.CreateSession());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&pool, &sessions, t] {
+      Random rng(40 + t);
+      for (int i = 0; i < 3000; ++i) {
+        auto handle = pool.FetchPage(*sessions[t], rng.Uniform(20));
+        ASSERT_TRUE(handle.ok());
+        if (rng.Bernoulli(0.2)) handle.value().MarkDirty();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  auto delta = [&] { return registry.Snapshot().DeltaFrom(before); };
+  const obs::MetricsSnapshot live = delta();
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  for (const auto& session : sessions) {
+    hits += session->stats().hits;
+    misses += session->stats().misses;
+  }
+  EXPECT_EQ(hits + misses, 6000u);
+  EXPECT_EQ(live.value("buffer.hits"), static_cast<double>(hits));
+  EXPECT_EQ(live.value("buffer.misses"), static_cast<double>(misses));
+  EXPECT_GT(pool.evictions(), 0u);
+  EXPECT_GT(pool.writebacks(), 0u);
+  EXPECT_EQ(live.value("buffer.evictions"),
+            static_cast<double>(pool.evictions()));
+  EXPECT_EQ(live.value("buffer.writebacks"),
+            static_cast<double>(pool.writebacks()));
+  EXPECT_GT(live.value("coord.committed_entries"), 0.0);
+
+  sessions.clear();  // retires the sessions and their coordinator slots
+  const obs::MetricsSnapshot retired = delta();
+  for (const char* name : {"buffer.hits", "buffer.misses", "buffer.evictions",
+                           "buffer.writebacks"}) {
+    EXPECT_EQ(retired.value(name), live.value(name)) << name;
+  }
+  // Destroying a slot commits what it still queued: the commit counters
+  // can only grow.
+  for (const char* name : {"coord.commit_batches", "coord.committed_entries",
+                           "coord.stale_commits"}) {
+    EXPECT_GE(retired.value(name), live.value(name)) << name;
+  }
+
+  auto session = pool.CreateSession();
+  ASSERT_TRUE(pool.FetchPage(*session, 0).ok());
+  const obs::MetricsSnapshot more = delta();
+  EXPECT_EQ(more.value("buffer.hits") + more.value("buffer.misses"),
+            retired.value("buffer.hits") + retired.value("buffer.misses") + 1);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
-// Full-pool back-pressure (the "backpressure" scenario): three fetchers
-// miss over two frames with no eviction retries, so a miss that finds both
-// frames pinned or in flight registers as a waiter and parks until a frame
-// comes free. The bounded exploration must exhaust clean: no
+// Full-pool back-pressure and single-flight (the "backpressure" scenario):
+// three fetchers over three pages and two frames with no eviction retries.
+// Thread 0 runs pages 0, 1, 2, so its third op evicts; threads 1 and 2 run
+// 0, 1 and 1, 0, so they mostly hit the pages thread 0 loads, and wait on
+// its load when they look a page up mid-load. A miss that finds both frames
+// pinned or in flight registers as a waiter and parks until a frame comes
+// free. The bounded exploration must exhaust clean: no
 // ResourceExhausted while a frame is unpinned (the scenario checks the pin
 // census at the failing op), and no lost wakeup (a waiter left parked after
 // its peers finish is reported as a deadlock).

@@ -28,7 +28,7 @@ ReplayFile SampleReplay() {
   replay.config.queue_size = 8;
   replay.config.batch_threshold = 3;
   replay.config.ops_per_thread = 7;
-  replay.config.trace = {4, 0, 2};
+  replay.config.thread_traces = {{1, 2}, {3}, {0, 4, 4}};
   replay.config.check_serial_equivalence = true;
   replay.config.mutate_skip_victim_revalidation = true;
   replay.config.mutate_commit_without_lock = true;
@@ -54,7 +54,7 @@ TEST(ReplayFormatTest, SerializeParseRoundTrip) {
   EXPECT_EQ(back.config.queue_size, replay.config.queue_size);
   EXPECT_EQ(back.config.batch_threshold, replay.config.batch_threshold);
   EXPECT_EQ(back.config.ops_per_thread, replay.config.ops_per_thread);
-  EXPECT_EQ(back.config.trace, replay.config.trace);
+  EXPECT_EQ(back.config.thread_traces, replay.config.thread_traces);
   EXPECT_EQ(back.config.check_serial_equivalence,
             replay.config.check_serial_equivalence);
   EXPECT_EQ(back.config.mutate_skip_victim_revalidation,

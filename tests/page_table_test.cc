@@ -135,5 +135,68 @@ TEST(PageTableTest, ConcurrentEraseOfOneMappingHasOneWinner) {
   EXPECT_EQ(table.Lookup(3), kInvalidFrameId);
 }
 
+TEST(PageTableTest, LoadSentinelIsVisibleButNotCounted) {
+  PageTable table(16);
+  ASSERT_TRUE(table.TryClaimLoad(4));
+  EXPECT_EQ(table.Lookup(4), PageTable::kLoadingFrameId);
+  EXPECT_TRUE(table.Loading(4));
+  EXPECT_FALSE(table.Loading(5));
+  EXPECT_EQ(table.size(), 0u) << "a load in flight is not a mapping";
+  EXPECT_EQ(table.loading(), 1u);
+  EXPECT_FALSE(table.TryClaimLoad(4)) << "a second claim must lose";
+  EXPECT_FALSE(table.Insert(4, 2)) << "a loading page must not be mapped";
+  EXPECT_FALSE(table.Erase(4, PageTable::kLoadingFrameId - 1));
+
+  table.PublishLoad(4, 9);
+  EXPECT_EQ(table.Lookup(4), 9u);
+  EXPECT_FALSE(table.Loading(4));
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.loading(), 0u);
+  EXPECT_FALSE(table.TryClaimLoad(4)) << "a mapped page cannot be claimed";
+}
+
+TEST(PageTableTest, AbortedLoadLeavesThePageUnmapped) {
+  PageTable table(16);
+  ASSERT_TRUE(table.TryClaimLoad(7));
+  table.AbortLoad(7);
+  EXPECT_EQ(table.Lookup(7), kInvalidFrameId);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.loading(), 0u);
+  EXPECT_TRUE(table.TryClaimLoad(7)) << "the next miss must be able to load";
+}
+
+TEST(PageTableTest, ConcurrentLoadClaimsHaveOneWinner) {
+  // Every racing miss on one cold page CASes the same slot: exactly one
+  // owns the load, and every loser sees the sentinel or the published
+  // frame, never an unmapped slot.
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 200;
+  PageTable table(4);
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> winners{0};
+    std::atomic<int> unmapped_after_loss{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        if (table.TryClaimLoad(2)) {
+          winners.fetch_add(1);
+          table.PublishLoad(2, static_cast<FrameId>(t));
+        } else if (table.Lookup(2) == kInvalidFrameId) {
+          unmapped_after_loss.fetch_add(1);
+        }
+      });
+    }
+    go.store(true);
+    for (auto& th : threads) th.join();
+    ASSERT_EQ(winners.load(), 1) << "round " << round;
+    ASSERT_EQ(unmapped_after_loss.load(), 0) << "round " << round;
+    ASSERT_EQ(table.size(), 1u);
+    const FrameId frame = table.Lookup(2);
+    ASSERT_TRUE(table.Erase(2, frame));
+  }
+}
+
 }  // namespace
 }  // namespace bpw

@@ -1,6 +1,7 @@
 // Tests for the simulated storage engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -226,6 +227,78 @@ TEST(StorageTest, ConcurrentSamePageNeverTearsStamp) {
   }
   stop.store(true);
   writer.join();
+}
+
+TEST(StorageTest, StatsSumExactlyUnderConcurrentIo) {
+  // The counters live in the lock stripes, written under the stripe lock:
+  // threads hammering the same stripes (pages 0 and 64 share one) must not
+  // lose a count, and a reader may sum them while the I/O runs.
+  constexpr int kThreads = 6;
+  constexpr int kOps = 3000;
+  StorageEngine storage(128, kPageSize);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      const StorageStats s = storage.stats();
+      const uint64_t total = s.reads + s.writes;
+      EXPECT_GE(total, last) << "a running sum went backwards";
+      last = total;
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&storage, t] {
+      std::vector<uint8_t> buf(kPageSize);
+      for (int i = 0; i < kOps; ++i) {
+        const PageId page = (i % 2 == 0 ? 0 : 64) + static_cast<PageId>(t % 2);
+        if (i % 3 == 0) {
+          StorageEngine::StampPage(buf.data(), kPageSize, page, i);
+          ASSERT_TRUE(storage.WritePage(page, buf.data()).ok());
+        } else {
+          ASSERT_TRUE(storage.ReadPage(page, buf.data()).ok());
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  done.store(true);
+  reader.join();
+  const uint64_t writes_per_thread = (kOps + 2) / 3;
+  const StorageStats s = storage.stats();
+  EXPECT_EQ(s.writes, kThreads * writes_per_thread);
+  EXPECT_EQ(s.reads, kThreads * (kOps - writes_per_thread));
+}
+
+TEST(StorageTest, ResetStatsRacingIoLosesNoLaterCount) {
+  // A reset racing I/O zeroes each stripe under its lock: every operation
+  // lands wholly before or after it, and everything after the last reset
+  // is counted.
+  StorageEngine storage(64, kPageSize);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&storage, &stop, t] {
+      std::vector<uint8_t> buf(kPageSize);
+      for (PageId i = 0; !stop.load(); ++i) {
+        ASSERT_TRUE(storage.ReadPage((i + t) % 64, buf.data()).ok());
+      }
+    });
+  }
+  for (int round = 0; round < 200; ++round) {
+    storage.ResetStats();
+    const StorageStats s = storage.stats();
+    EXPECT_EQ(s.writes, 0u);
+  }
+  stop.store(true);
+  for (auto& th : threads) th.join();
+  storage.ResetStats();
+  EXPECT_EQ(storage.stats().reads, 0u);
+  std::vector<uint8_t> buf(kPageSize);
+  for (PageId page = 0; page < 64; ++page) {
+    ASSERT_TRUE(storage.ReadPage(page, buf.data()).ok());
+  }
+  EXPECT_EQ(storage.stats().reads, 64u);
 }
 
 }  // namespace
