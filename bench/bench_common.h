@@ -2,13 +2,18 @@
 // knobs so a full run can be scaled up or down without recompiling.
 //
 //   BPW_BENCH_MS       per-cell measurement window in ms (default 300)
-//   BPW_MAX_THREADS    cap on the thread-count axis (default 16)
+//   BPW_MAX_THREADS    cap on the thread-count axis (default 16, at most
+//                      kMaxThreadCap)
 //   BPW_QUICK=1        shorthand: 120 ms cells, thread axis capped at 8
+//
+// BenchMain parses them strictly before the body runs: a malformed, zero
+// or out-of-range value exits 2 naming the knob.
 //
 // Every binary prints the table/figure id it reproduces, the substitution
 // caveats that apply (see DESIGN.md §2), and CSV-ready tables.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,22 +26,18 @@
 namespace bpw {
 namespace bench {
 
-inline uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
+/// Per-cell measurement window in ms (BPW_BENCH_MS / --ms; default 300,
+/// 120 when quick). Valid once BenchMain has started the body.
+uint64_t CellMillis();
 
-inline bool Quick() { return EnvU64("BPW_QUICK", 0) != 0; }
+/// Cap on the thread-count axis (BPW_MAX_THREADS / --max-threads; default
+/// 16, 8 when quick), in [1, kMaxThreadCap].
+uint32_t MaxThreads();
 
-inline uint64_t CellMillis() {
-  return EnvU64("BPW_BENCH_MS", Quick() ? 120 : 300);
-}
-
-inline uint32_t MaxThreads() {
-  return static_cast<uint32_t>(
-      EnvU64("BPW_MAX_THREADS", Quick() ? 8 : 16));
-}
+/// Highest accepted thread cap. The paper's largest machine has 16
+/// processors, so a larger cap is a typo; the bound also keeps
+/// ThreadAxis's doubling far from overflow.
+inline constexpr uint32_t kMaxThreadCap = 1024;
 
 /// Thread axis {1,2,4,...,limit}, as in Figs. 6-7.
 inline std::vector<uint32_t> ThreadAxis(uint32_t limit) {

@@ -1,48 +1,15 @@
 #include "bench/compare.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <set>
 
 #include "bench/runner.h"
-#include "bench/stats.h"
 
 namespace bpw {
 namespace bench {
 
 namespace {
-
-struct WallMetricDef {
-  const char* name;
-  bool higher_is_better;
-};
-
-constexpr WallMetricDef kWallMetrics[] = {
-    {"throughput_tps", true},
-    {"avg_response_us", false},
-    {"p95_response_us", false},
-    {"contentions_per_million", false},
-};
-
-std::vector<double> TrialSeries(const JsonValue& case_obj,
-                                const std::string& metric) {
-  std::vector<double> out;
-  const JsonValue* trials = case_obj.Find("trials");
-  if (trials == nullptr || !trials->is_array()) return out;
-  for (const JsonValue& t : trials->array) {
-    out.push_back(t.NumberOr(metric, 0));
-  }
-  return out;
-}
-
-double MeanOf(const std::vector<double>& v) {
-  if (v.empty()) return 0;
-  double sum = 0;
-  for (double x : v) sum += x;
-  return sum / static_cast<double>(v.size());
-}
 
 std::map<std::string, double> CounterMap(const JsonValue& case_obj) {
   std::map<std::string, double> out;
@@ -73,87 +40,6 @@ Status ValidateDocument(const JsonValue& doc, const char* which) {
   return Status::OK();
 }
 
-void CompareEnvironments(const JsonValue& baseline, const JsonValue& candidate,
-                         CompareReport& report) {
-  const JsonValue* base_env = baseline.Find("environment");
-  const JsonValue* cand_env = candidate.Find("environment");
-  if (base_env == nullptr || cand_env == nullptr) return;
-  for (const char* key : {"compiler", "build_type", "cxx_flags", "os",
-                          "arch"}) {
-    const std::string b = base_env->StringOr(key, "");
-    const std::string c = cand_env->StringOr(key, "");
-    if (b != c) {
-      report.notes.push_back(std::string("environment.") + key +
-                             " differs: '" + b + "' vs '" + c +
-                             "' — wall-clock deltas are not comparable");
-    }
-  }
-  const double bt = base_env->NumberOr("hardware_threads", 0);
-  const double ct = cand_env->NumberOr("hardware_threads", 0);
-  if (bt != ct) {
-    report.notes.push_back(
-        "environment.hardware_threads differs: " + std::to_string(bt) +
-        " vs " + std::to_string(ct) +
-        " — wall-clock deltas are not comparable");
-  }
-}
-
-void CompareWall(const std::string& name, const JsonValue& base_case,
-                 const JsonValue& cand_case, const CompareOptions& options,
-                 CompareReport& report) {
-  for (const WallMetricDef& metric : kWallMetrics) {
-    const std::vector<double> base = TrialSeries(base_case, metric.name);
-    const std::vector<double> cand = TrialSeries(cand_case, metric.name);
-    if (base.empty() || cand.empty()) continue;
-
-    WallVerdict v;
-    v.case_name = name;
-    v.metric = metric.name;
-    v.higher_is_better = metric.higher_is_better;
-    v.baseline_mean = MeanOf(base);
-    v.candidate_mean = MeanOf(cand);
-    v.rel_delta = RelativeDelta(v.baseline_mean, v.candidate_mean);
-
-    const BootstrapCI ci =
-        BootstrapMeanDiff(base, cand, options.resamples, options.confidence,
-                          options.bootstrap_seed);
-    v.ci_lo = ci.lo;
-    v.ci_hi = ci.hi;
-
-    if (!ci.valid) {
-      v.kind = WallVerdictKind::kInsufficientSamples;
-      report.wall.push_back(v);
-      continue;
-    }
-
-    // A zero baseline defeats the relative test (division by zero); any
-    // non-trivial absolute appearance counts as a full-size delta.
-    double effective_rel = v.rel_delta;
-    if (v.baseline_mean == 0 && std::fabs(v.candidate_mean) > 1e-12) {
-      effective_rel = v.candidate_mean > 0 ? 1.0 : -1.0;
-    }
-
-    // Direction-adjusted: positive `bad` means the metric moved the wrong
-    // way. The CI must exclude zero on the bad side.
-    const double bad_rel =
-        metric.higher_is_better ? -effective_rel : effective_rel;
-    const bool significant_worse =
-        metric.higher_is_better ? ci.hi < 0 : ci.lo > 0;
-    const bool significant_better =
-        metric.higher_is_better ? ci.lo > 0 : ci.hi < 0;
-
-    if (bad_rel >= options.min_rel_delta && significant_worse) {
-      v.kind = WallVerdictKind::kRegression;
-      report.wall_regression = true;
-    } else if (-bad_rel >= options.min_rel_delta && significant_better) {
-      v.kind = WallVerdictKind::kImprovement;
-    } else {
-      v.kind = WallVerdictKind::kNoChange;
-    }
-    report.wall.push_back(v);
-  }
-}
-
 void CompareCounters(const std::string& name, const JsonValue& base_case,
                      const JsonValue& cand_case, CompareReport& report) {
   const auto base = CounterMap(base_case);
@@ -181,15 +67,13 @@ void CompareCounters(const std::string& name, const JsonValue& base_case,
 }  // namespace
 
 StatusOr<CompareReport> CompareBenchResults(const JsonValue& baseline,
-                                            const JsonValue& candidate,
-                                            const CompareOptions& options) {
+                                            const JsonValue& candidate) {
   Status s = ValidateDocument(baseline, "baseline");
   if (!s.ok()) return s;
   s = ValidateDocument(candidate, "candidate");
   if (!s.ok()) return s;
 
   CompareReport report;
-  CompareEnvironments(baseline, candidate, report);
 
   const JsonValue& base_cases = *baseline.Find("cases");
   const JsonValue& cand_cases = *candidate.Find("cases");
@@ -229,11 +113,7 @@ StatusOr<CompareReport> CompareBenchResults(const JsonValue& baseline,
                              ") — baselines for this case are invalid");
     }
 
-    CompareWall(name, base_case, cand_case, options, report);
-    if (base_case.BoolOr("deterministic", false) ||
-        cand_case.BoolOr("deterministic", false)) {
-      CompareCounters(name, base_case, cand_case, report);
-    }
+    CompareCounters(name, base_case, cand_case, report);
   }
   for (const auto& [name, _] : cand_by_name) {
     if (seen.count(name) == 0) {
@@ -252,20 +132,9 @@ std::string FormatDouble(double v, int precision) {
   return buf;
 }
 
-const char* KindLabel(WallVerdictKind kind) {
-  switch (kind) {
-    case WallVerdictKind::kRegression: return "REGRESSION";
-    case WallVerdictKind::kImprovement: return "improvement";
-    case WallVerdictKind::kInsufficientSamples: return "n<2 (report-only)";
-    case WallVerdictKind::kNoChange: return "ok";
-  }
-  return "?";
-}
-
 }  // namespace
 
-std::string RenderCompareReport(const CompareReport& report,
-                                const CompareOptions& options) {
+std::string RenderCompareReport(const CompareReport& report) {
   std::string out;
   for (const std::string& note : report.notes) {
     out += "note: " + note + "\n";
@@ -288,35 +157,11 @@ std::string RenderCompareReport(const CompareReport& report,
     out += "\n";
   }
 
-  for (const WallVerdict& v : report.wall) {
-    const bool interesting = v.kind == WallVerdictKind::kRegression ||
-                             v.kind == WallVerdictKind::kImprovement;
-    if (!interesting) continue;
-    out += std::string(v.kind == WallVerdictKind::kRegression
-                           ? "WALL REGRESSION "
-                           : "wall improvement ") +
-           v.case_name + " " + v.metric + ": " +
-           FormatDouble(v.baseline_mean, 2) + " -> " +
-           FormatDouble(v.candidate_mean, 2) + " (" +
-           FormatDouble(v.rel_delta * 100.0, 1) + "%, CI [" +
-           FormatDouble(v.ci_lo, 2) + ", " + FormatDouble(v.ci_hi, 2) +
-           "])\n";
-  }
-
-  const size_t counters_checked = report.counters.size();
-  out += "summary: " + std::to_string(counters_checked) +
+  out += "summary: " + std::to_string(report.counters.size()) +
          " counters checked, " + std::to_string(counter_mismatches) +
-         " drifted; " + std::to_string(report.wall.size()) +
-         " wall metrics compared, " +
-         std::to_string(std::count_if(
-             report.wall.begin(), report.wall.end(),
-             [](const WallVerdict& v) {
-               return v.kind == WallVerdictKind::kRegression;
-             })) +
-         " regressed (wall gate " +
-         (options.gate_wall ? "ON" : "off — report-only") + ")\n";
-  out += std::string("verdict: ") +
-         (report.ShouldFail(options) ? "FAIL" : "PASS") + "\n";
+         " drifted\n";
+  out += std::string("verdict: ") + (report.ShouldFail() ? "FAIL" : "PASS") +
+         "\n";
   return out;
 }
 

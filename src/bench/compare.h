@@ -1,16 +1,13 @@
 // Candidate-vs-baseline judgement over two bpw-bench JSON documents.
 //
-// Two gates with different physics:
-//  - deterministic counters (and workload fingerprints): exact equality.
-//    Any drift is a real behaviour change — flagged regardless of options.
-//  - wall-clock metrics: percentile-bootstrap CI on the difference of
-//    trial means. A metric is only called a regression when the relative
-//    delta clears `min_rel_delta` AND the CI excludes zero in the bad
-//    direction; on shared CI runners these stay report-only unless
-//    `gate_wall` is set.
+// Deterministic counters and workload fingerprints must be exactly equal.
+// Any drift is a real behaviour change, so it fails the gate; a
+// deterministic baseline case missing from the candidate fails it too,
+// since its gated signal is gone. (Older baselines, such as the frozen
+// BENCH_seed.json, also hold wall-clock cases: their absence is only a
+// note.) Wall-clock numbers in the documents are not judged.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,38 +16,6 @@
 
 namespace bpw {
 namespace bench {
-
-struct CompareOptions {
-  double confidence = 0.95;
-  int resamples = 4000;
-  /// Minimum |relative delta| before a wall metric can be called a
-  /// regression/improvement — CI width alone does not flag noise-level
-  /// shifts.
-  double min_rel_delta = 0.05;
-  uint64_t bootstrap_seed = 0x5eedbe9c;
-  /// When true, wall regressions fail the gate (dedicated perf hardware);
-  /// when false they are report-only and only deterministic drift fails.
-  bool gate_wall = false;
-};
-
-enum class WallVerdictKind {
-  kNoChange,
-  kRegression,
-  kImprovement,
-  kInsufficientSamples,  ///< < 2 trials on a side: point delta, report-only
-};
-
-struct WallVerdict {
-  std::string case_name;
-  std::string metric;
-  bool higher_is_better = true;
-  double baseline_mean = 0;
-  double candidate_mean = 0;
-  double rel_delta = 0;  ///< signed, (cand-base)/|base|
-  double ci_lo = 0;      ///< bootstrap CI of (cand-base) mean difference
-  double ci_hi = 0;
-  WallVerdictKind kind = WallVerdictKind::kNoChange;
-};
 
 struct CounterVerdict {
   std::string case_name;
@@ -65,30 +30,23 @@ struct CounterVerdict {
 };
 
 struct CompareReport {
-  std::vector<WallVerdict> wall;
   std::vector<CounterVerdict> counters;  ///< mismatches AND matches
-  std::vector<std::string> notes;        ///< env diffs, case set changes
-  bool counter_drift = false;      ///< any counter mismatch
+  std::vector<std::string> notes;        ///< case set changes
+  bool counter_drift = false;      ///< any counter mismatch or lost case
   bool fingerprint_drift = false;  ///< any workload fingerprint change
-  bool wall_regression = false;    ///< any kRegression wall verdict
 
-  /// True when the comparison should fail under `options`.
-  bool ShouldFail(const CompareOptions& options) const {
-    return counter_drift || fingerprint_drift ||
-           (options.gate_wall && wall_regression);
-  }
+  /// True when the comparison should fail.
+  bool ShouldFail() const { return counter_drift || fingerprint_drift; }
 };
 
 /// Compares two parsed bpw-bench documents. Fails (Status) on schema
 /// mismatch or malformed documents; drift is reported via CompareReport,
 /// not via Status.
 StatusOr<CompareReport> CompareBenchResults(const JsonValue& baseline,
-                                            const JsonValue& candidate,
-                                            const CompareOptions& options);
+                                            const JsonValue& candidate);
 
-/// Human-readable verdict (one line per signal, mismatches first).
-std::string RenderCompareReport(const CompareReport& report,
-                                const CompareOptions& options);
+/// Human-readable verdict (one line per drifted counter, then a summary).
+std::string RenderCompareReport(const CompareReport& report);
 
 }  // namespace bench
 }  // namespace bpw

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "bench/stats.h"
 #include "obs/json.h"
 #include "workload/trace_fingerprint.h"
 
@@ -68,19 +67,12 @@ StatusOr<SuiteRunResult> RunSuite(const BenchSuite& suite,
   SuiteRunResult result;
   result.suite = suite.name;
   result.description = suite.description;
-  result.trials = options.trials > 0 ? options.trials : suite.trials;
-  result.warmup_trials =
-      options.warmup_trials >= 0 ? options.warmup_trials : suite.warmup_trials;
-  if (result.trials < 1) {
-    return Status::InvalidArgument("suite needs at least one trial");
-  }
   result.env = CollectEnvFingerprint();
 
   for (const BenchCase& c : suite.cases) {
     CaseResult cr;
     cr.name = c.name;
     cr.mode = c.mode;
-    cr.deterministic = c.deterministic;
     cr.workload = c.config.workload;
     cr.threads = c.config.num_threads;
     cr.system = c.config.system;
@@ -88,24 +80,18 @@ StatusOr<SuiteRunResult> RunSuite(const BenchSuite& suite,
         TraceFingerprint(c.config.workload, c.config.num_threads,
                          kFingerprintAccessesPerThread);
 
-    // Deterministic cases: one exact pass — a repeat reproduces the same
-    // counters by construction, so extra trials buy nothing.
-    const int warmups = c.deterministic ? 0 : result.warmup_trials;
-    const int trials = c.deterministic ? 1 : result.trials;
+    // One exact pass: a repeat reproduces the same counters by
+    // construction, so extra runs buy nothing.
     if (options.verbose) {
-      std::fprintf(stderr, "[bpw_bench] %s: %d warmup + %d trial(s)...\n",
-                   c.name.c_str(), warmups, trials);
+      std::fprintf(stderr, "[bpw_bench] %s...\n", c.name.c_str());
     }
-    for (int i = 0; i < warmups + trials; ++i) {
-      auto run = RunOnce(c);
-      if (!run.ok()) {
-        return Status::Internal("case '" + c.name +
-                                "' failed: " + run.status().ToString());
-      }
-      if (i < warmups) continue;
-      cr.trials.push_back(SampleFrom(run.value()));
-      if (c.deterministic) FillCounters(run.value(), cr);
+    auto run = RunOnce(c);
+    if (!run.ok()) {
+      return Status::Internal("case '" + c.name +
+                              "' failed: " + run.status().ToString());
     }
+    cr.sample = SampleFrom(run.value());
+    FillCounters(run.value(), cr);
     result.cases.push_back(std::move(cr));
   }
   return result;
@@ -127,20 +113,6 @@ std::string TrialJson(const TrialSample& t) {
   return out;
 }
 
-std::string SummaryJson(const Summary& s) {
-  using obs::JsonNumber;
-  std::string out = "{";
-  out += "\"n\":" + JsonNumber(static_cast<double>(s.n));
-  out += ",\"mean\":" + JsonNumber(s.mean);
-  out += ",\"stddev\":" + JsonNumber(s.stddev);
-  out += ",\"min\":" + JsonNumber(s.min);
-  out += ",\"max\":" + JsonNumber(s.max);
-  out += ",\"p50\":" + JsonNumber(s.p50);
-  out += ",\"p95\":" + JsonNumber(s.p95);
-  out += "}";
-  return out;
-}
-
 std::string CaseJson(const CaseResult& c) {
   using obs::JsonNumber;
   using obs::JsonString;
@@ -148,8 +120,8 @@ std::string CaseJson(const CaseResult& c) {
   out += "\"name\":" + JsonString(c.name);
   out += ",\"mode\":" +
          JsonString(c.mode == ExecMode::kSim ? "sim" : "host");
-  out += ",\"deterministic\":" +
-         std::string(c.deterministic ? "true" : "false");
+  // bpw-bench/1 marks each case; every case is deterministic.
+  out += ",\"deterministic\":true";
 
   out += ",\"workload\":{";
   out += "\"name\":" + JsonString(c.workload.name);
@@ -168,36 +140,17 @@ std::string CaseJson(const CaseResult& c) {
          JsonNumber(static_cast<double>(c.system.batch_threshold));
   out += "}";
 
-  out += ",\"trials\":[";
-  for (size_t i = 0; i < c.trials.size(); ++i) {
-    if (i > 0) out += ',';
-    out += TrialJson(c.trials[i]);
-  }
-  out += "]";
+  // bpw-bench/1 keeps a "trials" array; it holds the case's one run.
+  out += ",\"trials\":[" + TrialJson(c.sample) + "]";
 
-  std::vector<double> tps, resp, cont;
-  for (const TrialSample& t : c.trials) {
-    tps.push_back(t.throughput_tps);
-    resp.push_back(t.avg_response_us);
-    cont.push_back(t.contentions_per_million);
+  out += ",\"counters\":{";
+  bool first = true;
+  for (const auto& [name, value] : c.counters) {
+    if (!first) out += ',';
+    first = false;
+    out += JsonString(name) + ":" + JsonNumber(static_cast<double>(value));
   }
-  out += ",\"summary\":{";
-  out += "\"throughput_tps\":" + SummaryJson(Summarize(tps));
-  out += ",\"avg_response_us\":" + SummaryJson(Summarize(resp));
-  out += ",\"contentions_per_million\":" + SummaryJson(Summarize(cont));
-  out += "}";
-
-  if (c.deterministic) {
-    out += ",\"counters\":{";
-    bool first = true;
-    for (const auto& [name, value] : c.counters) {
-      if (!first) out += ',';
-      first = false;
-      out += JsonString(name) + ":" + JsonNumber(static_cast<double>(value));
-    }
-    out += "}";
-  }
-  out += "}";
+  out += "}}";
   return out;
 }
 
@@ -211,8 +164,8 @@ std::string SuiteResultToJson(const SuiteRunResult& result) {
   out += ",\"schema_version\":" + JsonNumber(kBenchSchemaVersion);
   out += ",\"suite\":" + JsonString(result.suite);
   out += ",\"description\":" + JsonString(result.description);
-  out += ",\"trials\":" + JsonNumber(result.trials);
-  out += ",\"warmup_trials\":" + JsonNumber(result.warmup_trials);
+  // bpw-bench/1 fields: every case runs once, with no warmup.
+  out += ",\"trials\":1,\"warmup_trials\":0";
   out += ",\"environment\":" + EnvFingerprintToJson(result.env);
   out += ",\"cases\":[";
   for (size_t i = 0; i < result.cases.size(); ++i) {

@@ -1,8 +1,7 @@
-// Suite runner: executes a BenchSuite (warmup + repeated trials per wall
-// case, one exact pass per deterministic case) and renders the result as
-// schema-versioned JSON ("bpw-bench/1") with an environment fingerprint,
-// per-trial samples, and the deterministic counter block bench_compare
-// gates on.
+// Suite runner: executes each case of a BenchSuite once and renders the
+// result as schema-versioned JSON ("bpw-bench/1") with an environment
+// fingerprint, the run's sample (a one-element "trials" array), and the
+// deterministic counter block bench_compare gates on.
 #pragma once
 
 #include <cstdint>
@@ -23,14 +22,11 @@ inline constexpr int kBenchSchemaVersion = 1;
 inline constexpr const char* kBenchSchemaName = "bpw-bench/1";
 
 struct RunnerOptions {
-  int trials = 0;          ///< 0 = suite default
-  int warmup_trials = -1;  ///< <0 = suite default
-  bool verbose = false;    ///< per-case progress on stderr
+  bool verbose = false;  ///< per-case progress on stderr
 };
 
-/// One measured trial of a wall case (or the single pass of a
-/// deterministic case — whose wall numbers are reproducible on the sim and
-/// informational on the host).
+/// The numbers of a case's one run: reproducible on the sim, informational
+/// on the host. Only the counters are gated.
 struct TrialSample {
   double throughput_tps = 0;
   double accesses_per_sec = 0;
@@ -44,23 +40,20 @@ struct TrialSample {
 struct CaseResult {
   std::string name;
   ExecMode mode = ExecMode::kHost;
-  bool deterministic = false;
   /// Fingerprint of the case's access streams (workload drift detector).
   uint64_t workload_fingerprint = 0;
   WorkloadSpec workload;
   uint32_t threads = 0;
   SystemConfig system;
-  std::vector<TrialSample> trials;
-  /// Deterministic cases only: exactly-reproducible work counters, keyed
-  /// by the obs metric vocabulary. Values are integral.
+  TrialSample sample;
+  /// Exactly-reproducible work counters, keyed by the obs metric
+  /// vocabulary. Values are integral.
   std::map<std::string, uint64_t> counters;
 };
 
 struct SuiteRunResult {
   std::string suite;
   std::string description;
-  int trials = 0;
-  int warmup_trials = 0;
   EnvFingerprint env;
   std::vector<CaseResult> cases;
 };

@@ -17,25 +17,6 @@ SystemConfig MustSystem(const char* name) {
   return system.ok() ? std::move(system).value() : SystemConfig{};
 }
 
-/// Host, duration-based: wall-clock samples, bootstrap-judged.
-BenchCase HostWall(const std::string& name, const char* workload,
-                   uint64_t pages, const char* system, uint32_t threads,
-                   uint64_t duration_ms) {
-  BenchCase c;
-  c.name = name;
-  c.mode = ExecMode::kHost;
-  c.config.workload.name = workload;
-  c.config.workload.num_pages = pages;
-  c.config.num_threads = threads;
-  c.config.duration_ms = duration_ms;
-  c.config.warmup_ms = duration_ms / 4;
-  c.config.num_frames = 0;  // zero-miss: measure coordination, not I/O
-  c.config.prewarm = true;
-  c.config.think_work = 32;
-  c.config.system = MustSystem(system);
-  return c;
-}
-
 /// Simulator, count-based: every number deterministic, counters gated.
 BenchCase SimDet(const std::string& name, const char* workload,
                  uint64_t pages, const char* system, uint32_t procs,
@@ -43,7 +24,6 @@ BenchCase SimDet(const std::string& name, const char* workload,
   BenchCase c;
   c.name = name;
   c.mode = ExecMode::kSim;
-  c.deterministic = true;
   c.config.workload.name = workload;
   c.config.workload.num_pages = pages;
   c.config.num_threads = procs;
@@ -63,7 +43,6 @@ BenchCase HostDet(const std::string& name, const char* workload,
   BenchCase c;
   c.name = name;
   c.mode = ExecMode::kHost;
-  c.deterministic = true;
   c.config.workload.name = workload;
   c.config.workload.num_pages = pages;
   c.config.num_threads = 1;
@@ -80,21 +59,13 @@ std::deque<BenchSuite> BuildBuiltinSuites() {
 
   {
     // Fast enough for a ctest smoke run and for per-PR CI, yet covering
-    // every signal class: host wall-clock under contention, host
-    // deterministic counters (real pool with evictions), and simulated
-    // multi-processor contention counters for both a serialized and a
-    // BP-Wrapper system.
+    // both signal classes: host counters (real pool with evictions) and
+    // simulated multi-processor contention counters for both a serialized
+    // and a BP-Wrapper system.
     BenchSuite smoke;
     smoke.name = "smoke";
-    smoke.description =
-        "fast wall-clock + deterministic-counter coverage for CI";
-    smoke.trials = 5;
-    smoke.warmup_trials = 1;
+    smoke.description = "fast deterministic-counter coverage for CI";
     smoke.cases = {
-        HostWall("wall.host.dbt2.pgBatPre.t4", "dbt2", 4096, "pgBatPre", 4,
-                 /*duration_ms=*/80),
-        HostWall("wall.host.dbt2.pg2Q.t4", "dbt2", 4096, "pg2Q", 4,
-                 /*duration_ms=*/80),
         HostDet("det.host.dbt2.pgBatPre.t1", "dbt2", 2048, "pgBatPre",
                 /*transactions=*/2000, /*frames=*/1024),
         HostDet("det.host.tablescan.pg2Q.t1", "tablescan", 1024, "pg2Q",
@@ -111,14 +82,11 @@ std::deque<BenchSuite> BuildBuiltinSuites() {
 
   {
     // The paper-figure trajectory: the five systems on the simulator at the
-    // Fig. 6 endpoints plus host wall anchors. Slower; run when touching
-    // the coordination paths, not on every CI push.
+    // Fig. 6 endpoints. Slower; run when touching the coordination paths,
+    // not on every CI push.
     BenchSuite paper;
     paper.name = "paper";
-    paper.description =
-        "five-system matrix at Fig. 6/7 operating points (sim det + host wall)";
-    paper.trials = 5;
-    paper.warmup_trials = 1;
+    paper.description = "five-system matrix at Fig. 6/7 operating points";
     for (const std::string& system : PaperSystemNames()) {
       for (uint32_t procs : {1u, 4u, 16u}) {
         paper.cases.push_back(
@@ -131,11 +99,6 @@ std::deque<BenchSuite> BuildBuiltinSuites() {
                  system.c_str(), 8, /*tx_per_proc=*/300,
                  /*access_work=*/1500));
     }
-    paper.cases.push_back(HostWall("wall.host.dbt2.pgBatPre.t8", "dbt2",
-                                   8192, "pgBatPre", 8,
-                                   /*duration_ms=*/150));
-    paper.cases.push_back(HostWall("wall.host.dbt2.pg2Q.t8", "dbt2", 8192,
-                                   "pg2Q", 8, /*duration_ms=*/150));
     suites.push_back(std::move(paper));
   }
 
@@ -147,8 +110,6 @@ std::deque<BenchSuite> BuildBuiltinSuites() {
     fig6.name = "fig6";
     fig6.description =
         "Fig. 6 endpoint: pgBatPre lock counters at p4/p16";
-    fig6.trials = 1;  // all cases deterministic; trials buy nothing
-    fig6.warmup_trials = 0;
     for (uint32_t procs : {4u, 16u}) {
       fig6.cases.push_back(SimDet(
           "det.sim.dbt2.pgBatPre.p" + std::to_string(procs), "dbt2", 8192,
@@ -169,8 +130,6 @@ std::deque<BenchSuite> BuildBuiltinSuites() {
     BenchSuite fig8;
     fig8.name = "fig8";
     fig8.description = "pgBatPre scaling at p16 and NUMA p64/p128";
-    fig8.trials = 1;
-    fig8.warmup_trials = 0;
     fig8.cases.push_back(SimDet("det.sim.dbt2.pgBatPre.p16", "dbt2", 8192,
                                 "pgBatPre", 16,
                                 /*tx_per_proc=*/400, /*access_work=*/3500));
@@ -193,8 +152,6 @@ std::deque<BenchSuite> BuildBuiltinSuites() {
     micro_lock.name = "micro_lock";
     micro_lock.description =
         "lock-path duel at near-zero think time: pg2Q vs pgBatPre";
-    micro_lock.trials = 1;
-    micro_lock.warmup_trials = 0;
     for (const char* system : {"pg2Q", "pgBatPre"}) {
       micro_lock.cases.push_back(
           SimDet(std::string("det.sim.tablescan.") + system + ".p16.hot",

@@ -1,19 +1,14 @@
-// Declarative benchmark suites for the bpw_bench orchestrator.
+// Declarative benchmark suites for the bpw_bench counter gate.
 //
 // A suite is a named list of fully-specified cases; the runner executes
-// them with warmup + repeated trials and writes schema-versioned JSON. Two
-// kinds of case coexist on purpose (the variance-aware-gate design):
-//
-//  - wall cases: host threads, duration-based windows. Their metrics are
-//    noisy on shared runners, so bench_compare judges them with bootstrap
-//    confidence intervals and (by default) reports rather than gates.
-//  - deterministic cases: count-based runs — single-threaded on the host,
-//    or any processor count on the discrete-event simulator (which is
-//    single-threaded and deterministic by construction). Their work
-//    counters (lock acquisitions, blocking-Lock fallbacks, batch-commit
-//    totals, hits/misses/evictions) are exactly reproducible, so
-//    bench_compare gates them with exact equality: the CI signal that
-//    cannot be blamed on a busy runner.
+// each case once and writes schema-versioned JSON. Every case is
+// count-based and deterministic: single-threaded on the host, or any
+// processor count on the discrete-event simulator (which is single-threaded
+// and deterministic by construction). Their work counters (lock
+// acquisitions, blocking-Lock fallbacks, batch-commit totals,
+// hits/misses/evictions) are exactly reproducible, so bench_compare gates
+// them with exact equality: the CI signal that cannot be blamed on a busy
+// runner. Host wall-clock speed is perfbench's job, not this gate's.
 #pragma once
 
 #include <string>
@@ -32,16 +27,11 @@ struct BenchCase {
   ExecMode mode = ExecMode::kHost;
   DriverConfig config;
   SimCosts sim_costs;  // kSim only
-  /// Deterministic cases run count-based exactly once (repeating them
-  /// reproduces identical numbers) and contribute gated counters.
-  bool deterministic = false;
 };
 
 struct BenchSuite {
   std::string name;
   std::string description;
-  int trials = 5;         ///< measured trials per wall case
-  int warmup_trials = 1;  ///< discarded leading trials per wall case
   std::vector<BenchCase> cases;
 };
 

@@ -10,12 +10,6 @@ PageTable::PageTable(size_t num_pages)
   }
 }
 
-bool PageTable::Insert(PageId page, FrameId frame) {
-  FrameId expected = kInvalidFrameId;
-  return frames_[page].compare_exchange_strong(expected, frame,
-                                               std::memory_order_acq_rel);
-}
-
 bool PageTable::Erase(PageId page, FrameId frame) {
   FrameId expected = frame;
   return frames_[page].compare_exchange_strong(expected, kInvalidFrameId,

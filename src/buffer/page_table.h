@@ -6,7 +6,8 @@
 // locks become the most expensive shared writes on a hit. Page ids here are
 // dense and bounded by StorageEngine::num_pages() (FetchPage and DropPage
 // bounds-check them), so the table is one atomic frame id per page: a
-// lookup is one load and takes no lock. Insert and Erase are single CASes.
+// lookup is one load and takes no lock. Claiming a load and erasing a
+// mapping are single CASes; publishing a claimed load is one store.
 // At 4 B per page the map costs a quarter of the storage engine's own
 // per-page verification words.
 //
@@ -49,10 +50,6 @@ class PageTable {
     return frames_[page].load(std::memory_order_acquire);
   }
 
-  /// Maps `page` to `frame` in one step (no load phase). Returns false (and
-  /// changes nothing) if the page is already mapped or loading.
-  bool Insert(PageId page, FrameId frame);
-
   /// Claims the load of an unmapped `page`: one CAS from kInvalidFrameId to
   /// kLoadingFrameId. Returns false if the page is mapped or another load
   /// holds it; exactly one of any number of racing claims wins.
@@ -82,7 +79,7 @@ class PageTable {
   }
 
   /// Removes the mapping for `page`, but only if it currently points at
-  /// `frame` (guards against racing re-insertions). Returns true if
+  /// `frame` (guards against racing reloads). Returns true if
   /// removed.
   bool Erase(PageId page, FrameId frame);
 

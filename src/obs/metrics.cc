@@ -36,17 +36,10 @@ std::string MetricsSnapshot::ToJson() const {
 }
 
 MetricsRegistry& MetricsRegistry::Default() {
-  // Leaked on purpose: worker threads and counters handed out by GetCounter
-  // may outlive static destruction order.
+  // Leaked on purpose: worker threads and the gauges and histograms handed
+  // out by GetGauge/GetHistogram may outlive static destruction order.
   static MetricsRegistry* instance = new MetricsRegistry();
   return *instance;
-}
-
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  MutexGuard guard(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
@@ -82,9 +75,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   snap.wall_nanos = NowNanos();
   MutexGuard guard(mu_);
-  for (const auto& [name, counter] : counters_) {
-    snap.Add(name, static_cast<double>(counter->Sum()));
-  }
   for (const auto& [name, gauge] : gauges_) {
     snap.AddGauge(name, static_cast<double>(gauge->value()));
   }
@@ -105,7 +95,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 
 void MetricsRegistry::ResetCounters() {
   MutexGuard guard(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, hist] : histograms_) hist->Reset();
 }
 

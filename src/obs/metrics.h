@@ -1,28 +1,15 @@
-// MetricsRegistry: named counters / gauges / histograms with a snapshot
-// surface for the sampler and exporters.
-//
-// Hot-path discipline (the same reasoning as ContentionLock's layout): a
-// counter increment from a worker thread must never bounce a shared cache
-// line. Counter therefore shards its value across kCacheLineSize-aligned
-// per-thread cells indexed by CurrentThreadId(); Add() is one relaxed
-// fetch_add on the caller's cell and Sum() folds the cells. The
-// BPW_METRIC_ADD macro additionally gates on a process-wide enabled flag so
-// an instrumented hot path pays at most one relaxed atomic add (one relaxed
-// load + branch when disabled).
-//
-// Components that already maintain their own counters (ContentionLock,
-// StorageEngine, the coordinators, the buffer pool) do not mirror every
-// increment into the registry — that would double the hot-path cost. They
-// register a *source*: a callback the registry invokes at snapshot time to
-// contribute named values. Duplicate names accumulate, so two coordinators
-// alive at once sum into one series.
+// MetricsRegistry: named gauges / histograms and snapshot-time sources,
+// with a snapshot surface for the sampler and exporters.
 //
 // The counter idiom for hot paths is SingleWriterCounter: each counter has
 // one writer (a session, a coordinator thread slot, or whoever holds a
 // storage stripe's lock), which adds with a relaxed load and store — no
-// locked read-modify-write, and no line another writer touches. The
-// component's source sums its live counters plus the totals of retired
-// ones at snapshot time.
+// locked read-modify-write, and no line another writer touches. A
+// component does not mirror its increments into the registry — that would
+// double the hot-path cost. It registers a *source*: a callback the
+// registry invokes at snapshot time, which sums the component's live
+// counters plus the totals of retired ones into named values. Duplicate
+// names accumulate, so two coordinators alive at once sum into one series.
 #pragma once
 
 #include <atomic>
@@ -36,61 +23,11 @@
 
 #include "sync/mutex.h"
 #include "sync/spinlock.h"
-#include "util/cacheline.h"
 #include "util/histogram.h"
 #include "util/thread_annotations.h"
-#include "util/thread_id.h"
 
 namespace bpw {
 namespace obs {
-
-namespace internal {
-inline std::atomic<bool> g_metrics_enabled{true} BPW_RELAXED_OK(
-    "recording switch; increments may observe a toggle late");
-}  // namespace internal
-
-/// Process-wide recording switch consulted by BPW_METRIC_ADD. Snapshots and
-/// sources are unaffected — only macro-guarded hot-path increments stop.
-inline bool MetricsEnabled() {
-  return internal::g_metrics_enabled.load(std::memory_order_relaxed);
-}
-inline void SetMetricsEnabled(bool enabled) {
-  internal::g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-/// Monotonic counter sharded across cacheline-padded cells so concurrent
-/// writers from different threads never contend.
-class Counter {
- public:
-  static constexpr size_t kShards = 16;
-
-  void Add(uint64_t n) {
-    cells_[CurrentThreadId() & (kShards - 1)].value.fetch_add(
-        n, std::memory_order_relaxed);
-  }
-
-  /// Sum of all cells. Concurrent-writer safe; the result is a moment-in-
-  /// time lower bound, exact once writers quiesce.
-  uint64_t Sum() const {
-    uint64_t total = 0;
-    for (const auto& cell : cells_) {
-      total += cell.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  /// Zeroes every cell with atomic stores; safe against concurrent Add()
-  /// (increments racing the reset land in the new epoch or are dropped,
-  /// never torn).
-  void Reset() {
-    for (auto& cell : cells_) {
-      cell.value.store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  CacheAligned<std::atomic<uint64_t>> cells_[kShards];
-};
 
 /// A monotonic counter with exactly one writer at a time: the thread that
 /// owns it, or whoever holds the lock that serializes its writers. Add() is
@@ -192,10 +129,9 @@ class MetricsRegistry {
   /// The process-wide registry the library's components register into.
   static MetricsRegistry& Default();
 
-  /// Returns the counter named `name`, creating it on first use. The pointer
-  /// stays valid for the registry's lifetime, so components cache it and
-  /// increment without any lookup.
-  Counter* GetCounter(const std::string& name);
+  /// Returns the gauge or histogram named `name`, creating it on first
+  /// use. The pointer stays valid for the registry's lifetime, so
+  /// components cache it and update it without any lookup.
   Gauge* GetGauge(const std::string& name);
   HistogramMetric* GetHistogram(const std::string& name);
 
@@ -205,17 +141,16 @@ class MetricsRegistry {
   uint64_t RegisterSource(MetricSourceFn fn);
   void UnregisterSource(uint64_t id);
 
-  /// Reads every counter/gauge/histogram and invokes every source.
+  /// Reads every gauge/histogram and invokes every source.
   /// Histograms contribute <name>.count/.mean/.p50/.p95/.max.
   MetricsSnapshot Snapshot() const;
 
-  /// Resets owned counters and histograms (sources own their own state).
+  /// Resets owned histograms (gauges are levels; sources own their own
+  /// state).
   void ResetCounters();
 
  private:
   mutable Mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_
-      BPW_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ BPW_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_
       BPW_GUARDED_BY(mu_);
@@ -262,13 +197,3 @@ class ScopedMetricSource {
 
 }  // namespace obs
 }  // namespace bpw
-
-/// Hot-path increment: nothing when metrics are disabled, one relaxed
-/// sharded atomic add when enabled. `counter` is an obs::Counter* (may be
-/// null before registration).
-#define BPW_METRIC_ADD(counter, n)                             \
-  do {                                                         \
-    ::bpw::obs::Counter* bpw_metric_c_ = (counter);            \
-    if (bpw_metric_c_ != nullptr && ::bpw::obs::MetricsEnabled()) \
-      bpw_metric_c_->Add(n);                                   \
-  } while (0)

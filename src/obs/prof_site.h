@@ -12,7 +12,7 @@
 // contention_profiler.h into no-ops; the recording functions still link so
 // mixed call sites cannot break the build. With BPW_PROF=1 an instrumented
 // lock whose profiling is disabled (the default) pays one relaxed load and
-// branch per acquisition, the same budget as BPW_METRIC_ADD.
+// branch per acquisition.
 #pragma once
 
 #include <atomic>

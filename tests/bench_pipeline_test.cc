@@ -2,12 +2,13 @@
 // JSON -> parser -> compare gate.
 //
 // The acceptance contract these pin down:
+//  - every built-in case is count-based and deterministic;
 //  - the smoke suite produces schema-valid bpw-bench/1 JSON with an
-//    environment fingerprint, per-trial samples, and deterministic
+//    environment fingerprint, one sample per case, and deterministic
 //    counters;
-//  - a self-compare reports no regression;
-//  - a synthetically injected 10% throughput regression is flagged;
+//  - a self-compare reports no drift;
 //  - an off-by-one lock-acquisition counter drift is flagged.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,17 +23,13 @@ namespace bpw {
 namespace bench {
 namespace {
 
-// One reduced in-process run of the real "smoke" suite, shared by every
-// test in this file (the suite is deterministic where it matters; the wall
-// cases just need to produce trials, not stable numbers).
+// One in-process run of the real "smoke" suite, shared by every test in
+// this file.
 const SuiteRunResult& SmokeRun() {
   static const SuiteRunResult* run = [] {
     const BenchSuite* smoke = FindSuite("smoke");
     EXPECT_NE(smoke, nullptr);
-    RunnerOptions options;
-    options.trials = 2;
-    options.warmup_trials = 0;
-    auto result = RunSuite(*smoke, options);
+    auto result = RunSuite(*smoke, RunnerOptions{});
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return new SuiteRunResult(std::move(result).value());
   }();
@@ -70,31 +67,6 @@ JsonValue* FindCase(JsonValue& doc, const std::string& name) {
   return nullptr;
 }
 
-JsonValue MakeNumber(double v) {
-  JsonValue n;
-  n.kind = JsonValue::Kind::kNumber;
-  n.number_value = v;
-  return n;
-}
-
-// Replaces a wall case's throughput_tps trial series with a synthetic,
-// low-variance one so the bootstrap verdicts under test are not hostage to
-// scheduler noise in the real measured trials.
-void SetThroughputTrials(JsonValue& case_obj,
-                         const std::vector<double>& values) {
-  JsonValue* trials = FindMut(case_obj, "trials");
-  ASSERT_NE(trials, nullptr);
-  trials->array.clear();
-  for (double v : values) {
-    JsonValue trial;
-    trial.kind = JsonValue::Kind::kObject;
-    trial.object.emplace_back("throughput_tps", MakeNumber(v));
-    trial.object.emplace_back("measure_seconds", MakeNumber(0.08));
-    trials->array.push_back(std::move(trial));
-  }
-}
-
-constexpr const char* kWallCase = "wall.host.dbt2.pgBatPre.t4";
 constexpr const char* kDetCase = "det.sim.dbt2.pgBatPre.p8";
 
 // --- suite registry ------------------------------------------------------
@@ -105,6 +77,24 @@ TEST(BenchSuites, BuiltinsAreRegistered) {
   EXPECT_EQ(FindSuite("no-such-suite"), nullptr);
   const auto names = KnownSuiteNames();
   EXPECT_GE(names.size(), 2u);
+}
+
+TEST(BenchSuites, EveryBuiltinCaseIsDeterministic) {
+  // The gate compares counters for exact equality, so every case must be
+  // count-based, and a host case must run on one worker: a time window or
+  // a second host thread would make the counters depend on the machine.
+  for (const std::string& name : KnownSuiteNames()) {
+    const BenchSuite* suite = FindSuite(name);
+    ASSERT_NE(suite, nullptr) << name;
+    for (const BenchCase& c : suite->cases) {
+      EXPECT_GT(c.config.transactions_per_thread, 0u)
+          << name << "/" << c.name << " is duration-based";
+      if (c.mode == ExecMode::kHost) {
+        EXPECT_EQ(c.config.num_threads, 1u)
+            << name << "/" << c.name << " runs several host threads";
+      }
+    }
+  }
 }
 
 TEST(BenchSuites, RegisterReplacesByName) {
@@ -127,7 +117,7 @@ TEST(BenchPipeline, SmokeJsonIsSchemaValid) {
   EXPECT_EQ(doc.StringOr("schema", ""), kBenchSchemaName);
   EXPECT_EQ(doc.NumberOr("schema_version", -1), kBenchSchemaVersion);
   EXPECT_EQ(doc.StringOr("suite", ""), "smoke");
-  EXPECT_EQ(doc.NumberOr("trials", 0), 2);
+  EXPECT_EQ(doc.NumberOr("trials", 0), 1);
 
   const JsonValue* env = doc.Find("environment");
   ASSERT_NE(env, nullptr);
@@ -142,7 +132,6 @@ TEST(BenchPipeline, SmokeJsonIsSchemaValid) {
   ASSERT_TRUE(cases->is_array());
   ASSERT_FALSE(cases->array.empty());
 
-  bool saw_wall = false, saw_det = false;
   for (const JsonValue& c : cases->array) {
     EXPECT_FALSE(c.StringOr("name", "").empty());
     const std::string mode = c.StringOr("mode", "");
@@ -159,49 +148,26 @@ TEST(BenchPipeline, SmokeJsonIsSchemaValid) {
     const JsonValue* trials = c.Find("trials");
     ASSERT_NE(trials, nullptr);
     ASSERT_TRUE(trials->is_array());
-    const bool deterministic = c.BoolOr("deterministic", false);
-    EXPECT_EQ(trials->array.size(), deterministic ? 1u : 2u);
-    for (const JsonValue& t : trials->array) {
-      EXPECT_TRUE(t.Find("throughput_tps") != nullptr);
-      EXPECT_GT(t.NumberOr("measure_seconds", 0), 0.0);
-    }
-    EXPECT_NE(c.Find("summary"), nullptr);
+    ASSERT_EQ(trials->array.size(), 1u);
+    EXPECT_TRUE(trials->array[0].Find("throughput_tps") != nullptr);
+    EXPECT_GT(trials->array[0].NumberOr("measure_seconds", 0), 0.0);
+    EXPECT_TRUE(c.BoolOr("deterministic", false));
 
-    if (deterministic) {
-      saw_det = true;
-      const JsonValue* counters = c.Find("counters");
-      ASSERT_NE(counters, nullptr);
-      ASSERT_TRUE(counters->is_object());
-      EXPECT_GT(counters->NumberOr("accesses", 0), 0.0);
-      EXPECT_NE(counters->Find("lock.acquisitions"), nullptr);
-    } else {
-      saw_wall = true;
-      EXPECT_EQ(c.Find("counters"), nullptr)
-          << "wall cases must not emit gated counters";
-    }
+    const JsonValue* counters = c.Find("counters");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_TRUE(counters->is_object());
+    EXPECT_GT(counters->NumberOr("accesses", 0), 0.0);
+    EXPECT_NE(counters->Find("lock.acquisitions"), nullptr);
   }
-  EXPECT_TRUE(saw_wall);
-  EXPECT_TRUE(saw_det);
 }
 
 TEST(BenchPipeline, DeterministicCasesReproduceExactly) {
-  // Re-run only the deterministic smoke cases: every gated counter must
-  // come back identical — the premise of the exact-equality gate.
+  // Re-run the smoke suite: every gated counter must come back
+  // identical — the premise of the exact-equality gate.
   const BenchSuite* smoke = FindSuite("smoke");
   ASSERT_NE(smoke, nullptr);
-  BenchSuite det_only;
-  det_only.name = "det-only";
-  det_only.trials = 1;
-  det_only.warmup_trials = 0;
-  for (const BenchCase& c : smoke->cases) {
-    if (c.deterministic) det_only.cases.push_back(c);
-  }
-  ASSERT_FALSE(det_only.cases.empty());
-
-  RunnerOptions options;
-  options.trials = 1;
-  options.warmup_trials = 0;
-  auto rerun = RunSuite(det_only, options);
+  ASSERT_FALSE(smoke->cases.empty());
+  auto rerun = RunSuite(*smoke, RunnerOptions{});
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
 
   for (const CaseResult& again : rerun.value().cases) {
@@ -219,81 +185,17 @@ TEST(BenchPipeline, DeterministicCasesReproduceExactly) {
 
 // --- compare gate --------------------------------------------------------
 
-CompareOptions GatedOptions() {
-  CompareOptions options;
-  options.gate_wall = true;
-  return options;
-}
-
 TEST(BenchCompare, SelfCompareIsACleanPass) {
   JsonValue base = ParsedSmoke();
   JsonValue cand = ParsedSmoke();
-  auto report = CompareBenchResults(base, cand, GatedOptions());
+  auto report = CompareBenchResults(base, cand);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report.value().counter_drift);
   EXPECT_FALSE(report.value().fingerprint_drift);
-  EXPECT_FALSE(report.value().wall_regression);
-  EXPECT_FALSE(report.value().ShouldFail(GatedOptions()));
+  EXPECT_FALSE(report.value().ShouldFail());
   EXPECT_FALSE(report.value().counters.empty());
-  const std::string rendered =
-      RenderCompareReport(report.value(), GatedOptions());
+  const std::string rendered = RenderCompareReport(report.value());
   EXPECT_NE(rendered.find("verdict: PASS"), std::string::npos) << rendered;
-}
-
-TEST(BenchCompare, FlagsInjectedTenPercentThroughputRegression) {
-  JsonValue base = ParsedSmoke();
-  JsonValue cand = ParsedSmoke();
-  // Low-variance synthetic series; candidate is exactly 10% down.
-  const std::vector<double> base_tps = {1000, 1010, 990, 1005, 995};
-  std::vector<double> cand_tps;
-  for (double v : base_tps) cand_tps.push_back(v * 0.9);
-  JsonValue* base_case = FindCase(base, kWallCase);
-  JsonValue* cand_case = FindCase(cand, kWallCase);
-  ASSERT_NE(base_case, nullptr);
-  ASSERT_NE(cand_case, nullptr);
-  SetThroughputTrials(*base_case, base_tps);
-  SetThroughputTrials(*cand_case, cand_tps);
-
-  auto report = CompareBenchResults(base, cand, GatedOptions());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report.value().wall_regression);
-  EXPECT_TRUE(report.value().ShouldFail(GatedOptions()));
-
-  const WallVerdict* verdict = nullptr;
-  for (const WallVerdict& v : report.value().wall) {
-    if (v.case_name == kWallCase && v.metric == "throughput_tps") {
-      verdict = &v;
-    }
-  }
-  ASSERT_NE(verdict, nullptr);
-  EXPECT_EQ(verdict->kind, WallVerdictKind::kRegression);
-  EXPECT_NEAR(verdict->rel_delta, -0.10, 0.01);
-  EXPECT_LT(verdict->ci_hi, 0.0);  // CI excludes zero on the bad side
-
-  // Default options keep wall regressions report-only: deterministic
-  // counters did not drift, so the gate itself passes.
-  CompareOptions report_only;
-  EXPECT_FALSE(report.value().ShouldFail(report_only));
-
-  const std::string rendered =
-      RenderCompareReport(report.value(), GatedOptions());
-  EXPECT_NE(rendered.find("WALL REGRESSION"), std::string::npos) << rendered;
-  EXPECT_NE(rendered.find("verdict: FAIL"), std::string::npos) << rendered;
-}
-
-TEST(BenchCompare, NoiseLevelShiftBelowMinRelDeltaIsNotARegression) {
-  JsonValue base = ParsedSmoke();
-  JsonValue cand = ParsedSmoke();
-  // A consistent but tiny (2%) dip: significant by CI, below min_rel_delta.
-  const std::vector<double> base_tps = {1000, 1010, 990, 1005, 995};
-  std::vector<double> cand_tps;
-  for (double v : base_tps) cand_tps.push_back(v * 0.98);
-  SetThroughputTrials(*FindCase(base, kWallCase), base_tps);
-  SetThroughputTrials(*FindCase(cand, kWallCase), cand_tps);
-
-  auto report = CompareBenchResults(base, cand, GatedOptions());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_FALSE(report.value().wall_regression);
 }
 
 TEST(BenchCompare, FlagsOffByOneLockAcquisitionDrift) {
@@ -307,12 +209,10 @@ TEST(BenchCompare, FlagsOffByOneLockAcquisitionDrift) {
   ASSERT_NE(acq, nullptr);
   acq->number_value += 1;  // the smallest possible behaviour change
 
-  // Off-by-one drift fails even the default (report-only-wall) options.
-  CompareOptions options;
-  auto report = CompareBenchResults(base, cand, options);
+  auto report = CompareBenchResults(base, cand);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report.value().counter_drift);
-  EXPECT_TRUE(report.value().ShouldFail(options));
+  EXPECT_TRUE(report.value().ShouldFail());
 
   const CounterVerdict* drift = nullptr;
   for (const CounterVerdict& v : report.value().counters) {
@@ -326,7 +226,7 @@ TEST(BenchCompare, FlagsOffByOneLockAcquisitionDrift) {
   EXPECT_EQ(drift->counter, "lock.acquisitions");
   EXPECT_EQ(drift->candidate, drift->baseline + 1);
 
-  const std::string rendered = RenderCompareReport(report.value(), options);
+  const std::string rendered = RenderCompareReport(report.value());
   EXPECT_NE(rendered.find("COUNTER DRIFT"), std::string::npos) << rendered;
   EXPECT_NE(rendered.find("verdict: FAIL"), std::string::npos) << rendered;
 }
@@ -340,11 +240,10 @@ TEST(BenchCompare, WorkloadFingerprintDriftInvalidatesBaseline) {
   ASSERT_NE(fp, nullptr);
   fp->string_value = "0xdeadbeefdeadbeef";
 
-  CompareOptions options;
-  auto report = CompareBenchResults(base, cand, options);
+  auto report = CompareBenchResults(base, cand);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report.value().fingerprint_drift);
-  EXPECT_TRUE(report.value().ShouldFail(options));
+  EXPECT_TRUE(report.value().ShouldFail());
 }
 
 TEST(BenchCompare, MissingDeterministicCaseIsDrift) {
@@ -359,8 +258,7 @@ TEST(BenchCompare, MissingDeterministicCaseIsDrift) {
                      }),
       cases->array.end());
 
-  CompareOptions options;
-  auto report = CompareBenchResults(base, cand, options);
+  auto report = CompareBenchResults(base, cand);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report.value().counter_drift)
       << "a vanished deterministic case silently narrows gate coverage";
@@ -372,7 +270,7 @@ TEST(BenchCompare, SchemaVersionMismatchIsAnError) {
   JsonValue* version = FindMut(cand, "schema_version");
   ASSERT_NE(version, nullptr);
   version->number_value = kBenchSchemaVersion + 1;
-  auto report = CompareBenchResults(base, cand, CompareOptions{});
+  auto report = CompareBenchResults(base, cand);
   EXPECT_FALSE(report.ok());
 }
 

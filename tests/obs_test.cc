@@ -1,9 +1,9 @@
-// Tests for the observability layer: sharded counters under concurrent
-// writers, registry snapshots and sources, the stats sampler's time series,
-// trace-event recording, and the JSON helpers everything is serialized with.
+// Tests for the observability layer: registry snapshots and sources (fed
+// by single-writer counters, the library's counter idiom), the stats
+// sampler's time series, trace-event recording, and the JSON helpers
+// everything is serialized with.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,72 +59,20 @@ bool JsonIsBalanced(const std::string& doc) {
   return !in_string && stack.empty();
 }
 
-TEST(CounterTest, SingleThreadSum) {
-  Counter c;
-  EXPECT_EQ(c.Sum(), 0u);
-  c.Add(3);
-  c.Add(4);
-  EXPECT_EQ(c.Sum(), 7u);
-  c.Reset();
-  EXPECT_EQ(c.Sum(), 0u);
-}
-
-TEST(CounterTest, ConcurrentWritersSumExactly) {
-  // Writers from distinct threads land in (mostly) distinct shards; the
-  // folded sum must still be exact once they join.
-  Counter c;
-  constexpr int kThreads = 8;
-  constexpr uint64_t kAddsPerThread = 20000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c] {
-      for (uint64_t i = 0; i < kAddsPerThread; ++i) c.Add(1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(c.Sum(), kThreads * kAddsPerThread);
-}
-
-TEST(CounterTest, ConcurrentResetNeverTears) {
-  // Sum() under concurrent Add()/Reset() may be any partial value but must
-  // never exceed what was written; mainly a TSan target.
-  Counter c;
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    while (!stop.load(std::memory_order_relaxed)) c.Add(1);
+// Feeds `counter` into `reg` under `name`, the way a component exposes its
+// single-writer counters: a source that reads them at snapshot time.
+ScopedMetricSource CounterSource(MetricsRegistry& reg, const std::string& name,
+                                 const SingleWriterCounter& counter) {
+  return ScopedMetricSource(&reg, [name, &counter](MetricsSnapshot& s) {
+    s.Add(name, static_cast<double>(counter.value()));
   });
-  for (int i = 0; i < 1000; ++i) {
-    c.Reset();
-    c.Sum();
-  }
-  stop.store(true, std::memory_order_relaxed);
-  writer.join();
-}
-
-TEST(MetricMacroTest, DisabledSkipsIncrement) {
-  Counter c;
-  SetMetricsEnabled(false);
-  BPW_METRIC_ADD(&c, 5);
-  EXPECT_EQ(c.Sum(), 0u);
-  SetMetricsEnabled(true);
-  BPW_METRIC_ADD(&c, 5);
-  EXPECT_EQ(c.Sum(), 5u);
-  Counter* null_counter = nullptr;
-  BPW_METRIC_ADD(null_counter, 1);  // must not crash
-}
-
-TEST(MetricsRegistryTest, GetCounterIsStable) {
-  MetricsRegistry reg;
-  Counter* a = reg.GetCounter("x");
-  Counter* b = reg.GetCounter("x");
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, reg.GetCounter("y"));
 }
 
 TEST(MetricsRegistryTest, SnapshotReadsAllKinds) {
   MetricsRegistry reg;
-  reg.GetCounter("c")->Add(11);
+  SingleWriterCounter c;
+  const ScopedMetricSource source = CounterSource(reg, "c", c);
+  c.Add(11);
   reg.GetGauge("g")->Set(-4);
   reg.GetHistogram("h")->Record(100);
   reg.GetHistogram("h")->Record(300);
@@ -165,12 +113,15 @@ TEST(MetricsRegistryTest, ScopedSourceUnregistersOnDestruction) {
 
 TEST(MetricsRegistryTest, ResetCountersZeroesOwnedMetrics) {
   MetricsRegistry reg;
-  reg.GetCounter("c")->Add(5);
+  SingleWriterCounter c;
+  const ScopedMetricSource source = CounterSource(reg, "c", c);
+  c.Add(5);
   reg.GetHistogram("h")->Record(9);
   reg.ResetCounters();
   MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_DOUBLE_EQ(snap.value("c"), 0.0);
   EXPECT_DOUBLE_EQ(snap.value("h.count"), 0.0);
+  // A source owns its own state: the registry's reset does not reach it.
+  EXPECT_DOUBLE_EQ(snap.value("c"), 5.0);
 }
 
 TEST(MetricsSnapshotTest, DeltaFromSubtractsPointwise) {
@@ -191,11 +142,13 @@ TEST(MetricsSnapshotTest, DeltaFromKeepsGauges) {
   // A gauge is a level, not a running total: differencing two snapshots
   // must report the later level, not the (usually zero) change.
   MetricsRegistry reg;
+  SingleWriterCounter work;
+  const ScopedMetricSource source = CounterSource(reg, "work", work);
   reg.GetGauge("frames")->Set(2048);
-  reg.GetCounter("work")->Add(10);
+  work.Add(10);
   const MetricsSnapshot before = reg.Snapshot();
   reg.GetGauge("frames")->Set(2000);
-  reg.GetCounter("work")->Add(32);
+  work.Add(32);
   const MetricsSnapshot after = reg.Snapshot();
 
   const MetricsSnapshot delta = after.DeltaFrom(before);
@@ -235,12 +188,13 @@ TEST(MetricsSnapshotTest, ToJsonIsBalancedAndNamed) {
 
 TEST(StatsSamplerTest, SampleNowCapturesDeltas) {
   MetricsRegistry reg;
-  Counter* c = reg.GetCounter("work");
+  SingleWriterCounter work;
+  const ScopedMetricSource source = CounterSource(reg, "work", work);
   StatsSampler sampler(&reg, /*interval_ms=*/1000);
 
-  c->Add(10);
+  work.Add(10);
   sampler.SampleNow();
-  c->Add(32);
+  work.Add(32);
   sampler.SampleNow();
 
   std::vector<MetricsSnapshot> series = sampler.samples();
@@ -255,7 +209,9 @@ TEST(StatsSamplerTest, SampleNowCapturesDeltas) {
 
 TEST(StatsSamplerTest, StartStopYieldsAtLeastTwoSamples) {
   MetricsRegistry reg;
-  reg.GetCounter("work")->Add(1);
+  SingleWriterCounter work;
+  const ScopedMetricSource source = CounterSource(reg, "work", work);
+  work.Add(1);
   // Interval far longer than the run: the initial + final samples must
   // still be there.
   StatsSampler sampler(&reg, /*interval_ms=*/10000);
@@ -267,11 +223,12 @@ TEST(StatsSamplerTest, StartStopYieldsAtLeastTwoSamples) {
 
 TEST(StatsSamplerTest, BackgroundThreadSamplesWhileRunning) {
   MetricsRegistry reg;
-  Counter* c = reg.GetCounter("work");
+  SingleWriterCounter work;
+  const ScopedMetricSource source = CounterSource(reg, "work", work);
   StatsSampler sampler(&reg, /*interval_ms=*/5);
   sampler.Start();
   for (int i = 0; i < 20; ++i) {
-    c->Add(1);
+    work.Add(1);  // the sampler thread reads concurrently
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   sampler.Stop();
@@ -281,7 +238,9 @@ TEST(StatsSamplerTest, BackgroundThreadSamplesWhileRunning) {
 
 TEST(StatsSamplerTest, ToJsonLinesOneObjectPerSample) {
   MetricsRegistry reg;
-  reg.GetCounter("work")->Add(3);
+  SingleWriterCounter work;
+  const ScopedMetricSource source = CounterSource(reg, "work", work);
+  work.Add(3);
   StatsSampler sampler(&reg, 1000);
   sampler.SampleNow();
   sampler.SampleNow();

@@ -10,6 +10,15 @@
 namespace bpw {
 namespace {
 
+// Maps `page` to `frame` the way a miss does: claim the load, then publish
+// the frame. Returns false (and changes nothing) if the page is mapped or
+// loading.
+bool Map(PageTable& table, PageId page, FrameId frame) {
+  if (!table.TryClaimLoad(page)) return false;
+  table.PublishLoad(page, frame);
+  return true;
+}
+
 TEST(PageTableTest, LookupMissingReturnsInvalid) {
   PageTable table(64);
   EXPECT_EQ(table.Lookup(42), kInvalidFrameId);
@@ -21,21 +30,21 @@ TEST(PageTableTest, LookupMissingReturnsInvalid) {
 
 TEST(PageTableTest, InsertThenLookup) {
   PageTable table(64);
-  EXPECT_TRUE(table.Insert(42, 7));
+  EXPECT_TRUE(Map(table, 42, 7));
   EXPECT_EQ(table.Lookup(42), 7u);
   EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(PageTableTest, DuplicateInsertRejected) {
   PageTable table(64);
-  EXPECT_TRUE(table.Insert(1, 0));
-  EXPECT_FALSE(table.Insert(1, 5));
+  EXPECT_TRUE(Map(table, 1, 0));
+  EXPECT_FALSE(Map(table, 1, 5));
   EXPECT_EQ(table.Lookup(1), 0u) << "original mapping must be untouched";
 }
 
 TEST(PageTableTest, EraseRequiresMatchingFrame) {
   PageTable table(64);
-  table.Insert(1, 3);
+  Map(table, 1, 3);
   EXPECT_FALSE(table.Erase(1, 4)) << "wrong frame must not erase";
   EXPECT_EQ(table.Lookup(1), 3u);
   EXPECT_TRUE(table.Erase(1, 3));
@@ -47,17 +56,17 @@ TEST(PageTableTest, EraseThenReinsertAnotherFrame) {
   // The eviction/reload cycle: a page leaves one frame and comes back in
   // another, and the slot follows it.
   PageTable table(8);
-  ASSERT_TRUE(table.Insert(5, 2));
+  ASSERT_TRUE(Map(table, 5, 2));
   ASSERT_TRUE(table.Erase(5, 2));
-  ASSERT_TRUE(table.Insert(5, 6));
+  ASSERT_TRUE(Map(table, 5, 6));
   EXPECT_EQ(table.Lookup(5), 6u);
   EXPECT_FALSE(table.Erase(5, 2)) << "the old frame's erase must not win";
 }
 
 TEST(PageTableTest, FirstAndLastPagesAreAddressable) {
   PageTable table(3);
-  EXPECT_TRUE(table.Insert(0, 10));
-  EXPECT_TRUE(table.Insert(2, 12));
+  EXPECT_TRUE(Map(table, 0, 10));
+  EXPECT_TRUE(Map(table, 2, 12));
   EXPECT_EQ(table.Lookup(0), 10u);
   EXPECT_EQ(table.Lookup(1), kInvalidFrameId);
   EXPECT_EQ(table.Lookup(2), 12u);
@@ -67,7 +76,7 @@ TEST(PageTableTest, FirstAndLastPagesAreAddressable) {
 TEST(PageTableTest, ManyMappings) {
   PageTable table(10000);
   for (PageId p = 0; p < 10000; ++p) {
-    ASSERT_TRUE(table.Insert(p, static_cast<FrameId>(p % 1000)));
+    ASSERT_TRUE(Map(table, p, static_cast<FrameId>(p % 1000)));
   }
   EXPECT_EQ(table.size(), 10000u);
   for (PageId p = 0; p < 10000; ++p) {
@@ -84,7 +93,7 @@ TEST(PageTableTest, ConcurrentDisjointInsertErase) {
     threads.emplace_back([&table, t] {
       const PageId base = static_cast<PageId>(t) * kPerThread;
       for (PageId p = base; p < base + kPerThread; ++p) {
-        ASSERT_TRUE(table.Insert(p, static_cast<FrameId>(p % 97)));
+        ASSERT_TRUE(Map(table, p, static_cast<FrameId>(p % 97)));
       }
       for (PageId p = base; p < base + kPerThread; ++p) {
         ASSERT_EQ(table.Lookup(p), static_cast<FrameId>(p % 97));
@@ -106,7 +115,7 @@ TEST(PageTableTest, ConcurrentSamePageSingleWinner) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      if (table.Insert(7, static_cast<FrameId>(t))) {
+      if (Map(table, 7, static_cast<FrameId>(t))) {
         winners.fetch_add(1);
         winning_frame.store(t);
       }
@@ -121,7 +130,7 @@ TEST(PageTableTest, ConcurrentEraseOfOneMappingHasOneWinner) {
   // Evictor and dropper racing to unmap the same (page, frame): exactly one
   // CAS succeeds.
   PageTable table(16);
-  ASSERT_TRUE(table.Insert(3, 9));
+  ASSERT_TRUE(Map(table, 3, 9));
   constexpr int kThreads = 8;
   std::atomic<int> winners{0};
   std::vector<std::thread> threads;
@@ -144,7 +153,7 @@ TEST(PageTableTest, LoadSentinelIsVisibleButNotCounted) {
   EXPECT_EQ(table.size(), 0u) << "a load in flight is not a mapping";
   EXPECT_EQ(table.loading(), 1u);
   EXPECT_FALSE(table.TryClaimLoad(4)) << "a second claim must lose";
-  EXPECT_FALSE(table.Insert(4, 2)) << "a loading page must not be mapped";
+  EXPECT_FALSE(Map(table, 4, 2)) << "a loading page must not be mapped";
   EXPECT_FALSE(table.Erase(4, PageTable::kLoadingFrameId - 1));
 
   table.PublishLoad(4, 9);

@@ -1,25 +1,22 @@
-// bpw_bench: calibrated benchmark-suite orchestrator.
+// bpw_bench: the deterministic-counter benchmark gate.
 //
-// Runs a declarative suite (src/bench/suite.cc) with warmup and repeated
-// trials and writes schema-versioned JSON with an environment fingerprint,
-// per-trial wall-clock samples, and exactly-reproducible work counters.
-// Pair with bench_compare to judge a candidate against bench/baselines/.
+// Runs each case of a declarative suite (src/bench/suite.cc) once and
+// writes schema-versioned JSON with an environment fingerprint and the
+// case's exactly-reproducible work counters. Pair with bench_compare to
+// judge a candidate against bench/baselines/.
 //
 // Examples:
 //   bpw_bench --list
 //   bpw_bench --suite smoke --out BENCH_smoke.json
-//   bpw_bench --suite smoke --trials 3 --out /tmp/candidate.json
 //   bpw_bench --suite paper --out BENCH_paper.json
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 
 #include "bench/runner.h"
 #include "bench/suite.h"
 #include "obs/prof_site.h"
-#include "util/flag_parse.h"
 
 namespace {
 
@@ -32,13 +29,11 @@ void Usage() {
       "  --suite NAME    suite to run (see --list)\n"
       "  --out FILE      write the JSON document here (default:\n"
       "                  BENCH_<suite>.json in the current directory)\n"
-      "  --trials N      override the suite's measured trials per wall case\n"
-      "  --warmup N      override the suite's warmup (discarded) trials\n"
       "  --stdout        print the JSON to stdout instead of a file\n"
       "  --quiet         suppress per-case progress on stderr\n"
-      "  --prof          enable the contention profiler for every trial\n"
-      "                  (CI compares this against a --prof-less run to\n"
-      "                  gate the profiler's overhead)\n"
+      "  --prof          enable the contention profiler for every case\n"
+      "                  (CI compares this against a --prof-less run:\n"
+      "                  profiling must change no counter)\n"
       "  --list          list known suites and exit\n");
 }
 
@@ -61,24 +56,10 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    // Trial counts are ints; a malformed one exits 2 naming the flag.
-    auto count = [&](const char* flag) -> int {
-      auto parsed = ParseUintFlag(flag, next(flag),
-                                  std::numeric_limits<int>::max());
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-        std::exit(2);
-      }
-      return static_cast<int>(*parsed);
-    };
     if (arg == "--suite") {
       suite_name = next("--suite");
     } else if (arg == "--out") {
       out_path = next("--out");
-    } else if (arg == "--trials") {
-      options.trials = count("--trials");
-    } else if (arg == "--warmup") {
-      options.warmup_trials = count("--warmup");
     } else if (arg == "--stdout") {
       to_stdout = true;
     } else if (arg == "--quiet") {
@@ -102,9 +83,8 @@ int main(int argc, char** argv) {
   if (list) {
     for (const std::string& name : KnownSuiteNames()) {
       const BenchSuite* suite = FindSuite(name);
-      std::printf("%-8s %zu cases, %d trials — %s\n", name.c_str(),
-                  suite->cases.size(), suite->trials,
-                  suite->description.c_str());
+      std::printf("%-10s %zu cases — %s\n", name.c_str(),
+                  suite->cases.size(), suite->description.c_str());
     }
     return 0;
   }
