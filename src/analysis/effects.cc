@@ -1,5 +1,6 @@
 #include "analysis/effects.h"
 
+#include <algorithm>
 #include <functional>
 #include <set>
 
@@ -91,6 +92,29 @@ size_t MatchClose(const std::vector<Token>& toks, size_t open, size_t limit,
   return limit;
 }
 
+// std::string's inline buffer (libstdc++ and libc++ both hold at least 15
+// chars without a heap allocation).
+constexpr size_t kInlineStringChars = 15;
+
+/// `Status::<Code>(args)` at `i` (the `Status` token): true when building
+/// it allocates, i.e. its message is anything but absent or a literal that
+/// fits the inline buffer.
+bool StatusFactoryAllocates(const std::vector<Token>& toks, size_t i,
+                            size_t limit) {
+  if (i + 3 >= limit || toks[i + 1].kind != TokKind::kPunct ||
+      toks[i + 1].text != "::" || toks[i + 2].kind != TokKind::kIdent ||
+      !NextIs(toks, i + 2, "(")) {
+    return false;
+  }
+  const size_t open = i + 3;
+  const size_t close = MatchClose(toks, open, limit, "(", ")");
+  if (close == open + 1) return false;  // no message
+  const bool short_literal = close == open + 2 &&
+                             toks[open + 1].kind == TokKind::kString &&
+                             toks[open + 1].text.size() <= kInlineStringChars;
+  return !short_literal;
+}
+
 std::string TrimCopy(const std::string& s) {
   size_t b = s.find_first_not_of(" \t");
   if (b == std::string::npos) return "";
@@ -152,6 +176,11 @@ std::vector<EffectSite> ScanDirectEffects(const FileModel& fm,
     const bool tmpl_call = NextIs(toks, i, "<");
     if (!member && (call || tmpl_call) && AllocFreeCalls().count(t.text)) {
       add(kEffAlloc, i, t.text);
+      continue;
+    }
+    if (t.text == "Status" && !member &&
+        StatusFactoryAllocates(toks, i, std::min(fn.body_end, toks.size()))) {
+      add(kEffAlloc, i, "Status::" + toks[i + 2].text + "(message)");
       continue;
     }
     if (member && call && AllocMemberCalls().count(t.text)) {

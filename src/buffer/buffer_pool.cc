@@ -1,7 +1,12 @@
 #include "buffer/buffer_pool.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <new>
 #include <thread>
 #include <unordered_set>
 
@@ -32,7 +37,46 @@ constexpr int kFullPoolWaits = 100;
 // injection and mutation testing produce), and an error beats a hang.
 constexpr int kMaxFrameWaits = 2000;
 
+// The x86-64 transparent huge page size; the arena is aligned to it.
+constexpr size_t kHugePageSize = size_t{2} << 20;
+
+size_t RoundUp(size_t value, size_t multiple) {
+  return (value + multiple - 1) / multiple * multiple;
+}
+
 }  // namespace
+
+// ------------------------------------------------------ BufferPool::FrameArena
+
+BufferPool::FrameArena::FrameArena(size_t bytes) {
+  if (bytes == 0) return;
+  const size_t length =
+      RoundUp(bytes, static_cast<size_t>(sysconf(_SC_PAGESIZE)));
+  // Over-map by one huge page, then unmap the slack on both sides so what
+  // stays is `length` bytes from a 2 MiB boundary.
+  void* raw = mmap(nullptr, length + kHugePageSize, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const uintptr_t start = reinterpret_cast<uintptr_t>(raw);
+  const uintptr_t base = RoundUp(start, kHugePageSize);
+  if (base != start) munmap(raw, base - start);
+  const uintptr_t end = base + length;
+  const uintptr_t mapped_end = start + length + kHugePageSize;
+  if (mapped_end != end) {
+    munmap(reinterpret_cast<void*>(end), mapped_end - end);
+  }
+  data_ = reinterpret_cast<uint8_t*>(base);
+  length_ = length;
+#ifdef MADV_HUGEPAGE
+  // Advice only: a small arena would round up to a whole huge page, and a
+  // failure (THP compiled out) leaves the arena on base pages.
+  if (bytes >= kHugePageSize) madvise(data_, length_, MADV_HUGEPAGE);
+#endif
+}
+
+BufferPool::FrameArena::~FrameArena() {
+  if (data_ != nullptr) munmap(data_, length_);
+}
 
 // ---------------------------------------------------------------- PageHandle
 
@@ -42,6 +86,7 @@ PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
     pool_ = other.pool_;
     page_ = other.page_;
     frame_ = other.frame_;
+    shard_ = other.shard_;
     data_ = other.data_;
     other.pool_ = nullptr;
   }
@@ -58,7 +103,7 @@ void PageHandle::MarkDirty() {
 
 void PageHandle::Release() {
   if (pool_ != nullptr) {
-    pool_->Unpin(frame_, /*mark_dirty=*/false);
+    pool_->Unpin(frame_, shard_);
     pool_ = nullptr;
   }
 }
@@ -71,8 +116,11 @@ BufferPool::BufferPool(const BufferPoolConfig& config, StorageEngine* storage,
       storage_(storage),
       coordinator_(std::move(coordinator)),
       table_(storage->num_pages()),
-      buffer_(config.num_frames * config.page_size),
+      arena_(config.num_frames * config.page_size),
       frames_(config.num_frames),
+      pin_lines_per_shard_((config.num_frames + kPinsPerLine - 1) /
+                           kPinsPerLine),
+      pins_(std::make_unique<PinLine[]>(kPinShards * pin_lines_per_shard_)),
       frame_tags_(config.num_frames) {
   for (auto& tag : frame_tags_) {
     tag.store(kInvalidPageId, std::memory_order_relaxed);
@@ -117,6 +165,13 @@ std::unique_ptr<BufferPool::Session> BufferPool::CreateSession() {
   std::unique_ptr<Session> session(
       new Session(this, coordinator_->RegisterThread()));
   MutexGuard guard(sessions_mu_);
+  // Bind to the least-loaded shard (the lowest index on a tie).
+  uint32_t shard = 0;
+  for (uint32_t s = 1; s < kPinShards; ++s) {
+    if (shard_sessions_[s] < shard_sessions_[shard]) shard = s;
+  }
+  ++shard_sessions_[shard];
+  session->pin_shard_ = shard;
   sessions_.push_back(session.get());
   return session;
 }
@@ -142,6 +197,7 @@ BufferPool::PoolTotals BufferPool::Totals() const {
 void BufferPool::RetireSession(Session* session) {
   MutexGuard guard(sessions_mu_);
   retired_.Add(session->counters_);
+  --shard_sessions_[session->pin_shard_];
   const auto it = std::find(sessions_.begin(), sessions_.end(), session);
   if (it != sessions_.end()) {
     *it = sessions_.back();
@@ -149,54 +205,71 @@ void BufferPool::RetireSession(Session* session) {
   }
 }
 
-bool BufferPool::TryPin(FrameId frame, PageId page) {
+bool BufferPool::TryPin(FrameId frame, PageId page, uint32_t shard) {
   FrameMeta& meta = frames_[frame];
   // Window between the table lookup and the pin: the frame can be evicted
   // and re-used for another page in here.
   BPW_SCHEDULE_POINT_OBJ("pool.try_pin", &meta.state);
-  uint32_t state = meta.state.load(std::memory_order_relaxed);
-  // Each failed CAS means another pinner or the claimer changed the word.
-  BPW_BOUNDED_BY(concurrent_pinners);
-  while (true) {
-    if ((state & kBusy) != 0) return false;
-    if (meta.state.compare_exchange_weak(state, state + 1,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-      break;
-    }
+  // Pin, then look for a claim. A claimer sets kBusy and then scans the
+  // shards: each side's RMW precedes its load in the seq_cst order, so one
+  // of them sees the other.
+  std::atomic<uint32_t>& pins = PinCount(shard, frame);
+  pins.fetch_add(1, std::memory_order_seq_cst);
+  if (meta.state.load(std::memory_order_seq_cst) != 0) {
+    // An evictor, drop or flush owns the frame: undo the pin. Reaching
+    // zero may be what a back-pressure waiter is waiting for.
+    if (pins.fetch_sub(1, std::memory_order_release) == 1) FrameMayBeFree();
+    return false;
   }
   // Pinned, but the lookup may be stale: the frame can have been evicted
   // and re-used since. The pin stops any further eviction, so one tag
   // check settles it; on a mismatch the transient pin is dropped.
   BPW_SCHEDULE_POINT_OBJ("pool.pin_validate", &meta.state);
   if (FrameTag(frame) != page) {
-    Unpin(frame, /*mark_dirty=*/false);
+    Unpin(frame, shard);
     return false;
   }
   return true;
 }
 
-void BufferPool::Unpin(FrameId frame, bool mark_dirty) {
-  FrameMeta& meta = frames_[frame];
-  BPW_SCHEDULE_POINT_OBJ("pool.unpin", &meta.state);
-  if (mark_dirty) {
-    meta.dirty.store(true, std::memory_order_release);
-  }
-  if (meta.state.fetch_sub(1, std::memory_order_release) == 1) {
+void BufferPool::Unpin(FrameId frame, uint32_t shard) {
+  BPW_SCHEDULE_POINT_OBJ("pool.unpin", &frames_[frame].state);
+  // A shard reaching zero wakes waiters even if another shard still pins
+  // the frame: a spare wake, and only while a waiter is registered.
+  if (PinCount(shard, frame).fetch_sub(1, std::memory_order_release) == 1) {
     FrameMayBeFree();
   }
 }
 
+bool BufferPool::Pinned(FrameId frame) const {
+  // seq_cst: TryClaim's scan must follow its claim CAS in the order every
+  // pinner's add-then-load agrees on. On x86 these are plain loads.
+  BPW_BOUNDED_BY(kPinShards);
+  for (uint32_t shard = 0; shard < kPinShards; ++shard) {
+    if (PinCount(shard, frame).load(std::memory_order_seq_cst) != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool BufferPool::TryClaim(FrameId frame) {
   uint32_t idle = 0;
-  return frames_[frame].state.compare_exchange_strong(
-      idle, kBusy, std::memory_order_acquire, std::memory_order_relaxed);
+  if (!frames_[frame].state.compare_exchange_strong(
+          idle, kBusy, std::memory_order_seq_cst,
+          std::memory_order_relaxed)) {
+    return false;
+  }
+  if (Pinned(frame)) {
+    ReleaseClaim(frame);
+    return false;
+  }
+  return true;
 }
 
 void BufferPool::ReleaseClaim(FrameId frame) {
-  const uint32_t before =
-      frames_[frame].state.fetch_and(~kBusy, std::memory_order_release);
-  if ((before & kPinMask) == 0) FrameMayBeFree();
+  frames_[frame].state.fetch_and(~kBusy, std::memory_order_seq_cst);
+  if (!Pinned(frame)) FrameMayBeFree();
 }
 
 void BufferPool::PushFreeFrame(FrameId frame) {
@@ -210,10 +283,8 @@ void BufferPool::PushFreeFrame(FrameId frame) {
 
 size_t BufferPool::pinned_frames() const {
   size_t pinned = 0;
-  for (const FrameMeta& meta : frames_) {
-    if ((meta.state.load(std::memory_order_relaxed) & kPinMask) != 0) {
-      ++pinned;
-    }
+  for (FrameId frame = 0; frame < frames_.size(); ++frame) {
+    if (Pinned(frame)) ++pinned;
   }
   return pinned;
 }
@@ -312,11 +383,13 @@ void BufferPool::WakePendingWaiters() {
 
 FrameId BufferPool::AcquireFrame(Session& session, PageId incoming,
                                  int attempts) {
-  // The state load is acquire to pair with Unpin's release decrement:
-  // observing 0 must order the previous holder's frame accesses before our
-  // write-back / reuse of the frame bytes.
+  // Unclaimed and unpinned on every shard. The claim's own shard scan
+  // re-checks under kBusy; its loads acquire Unpin's release decrements, so
+  // the previous holders' frame accesses happen before our write-back or
+  // reuse of the frame bytes.
   const Coordinator::EvictableFn evictable = [this](FrameId f) {
-    return frames_[f].state.load(std::memory_order_acquire) == 0;
+    return frames_[f].state.load(std::memory_order_acquire) == 0 &&
+           !Pinned(f);
   };
 
   for (int attempt = 1;; ++attempt) {
@@ -347,8 +420,9 @@ FrameId BufferPool::AcquireFrame(Session& session, PageId incoming,
     FrameMeta& meta = frames_[victim.frame];
 
     // The classic race window: between the policy detaching the victim and
-    // our claim CAS, another thread can pin it. The claim fails then, and
-    // once it succeeds no new pin can land (TryPin refuses kBusy).
+    // our claim, another thread can pin it. The claim's shard scan fails
+    // then, and once the claim succeeds no new pin can stay (TryPin backs
+    // off from kBusy).
     BPW_SCHEDULE_POINT_OBJ("pool.evict_claim", &meta.state);
     bool claimed = true;
     if (config_.test_skip_victim_revalidation) {
@@ -440,10 +514,11 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
     const FrameId frame = table_.Lookup(page);
     // Real frame ids sort below both sentinels.
     if (frame < PageTable::kLoadingFrameId) {
-      if (TryPin(frame, page)) {
+      if (TryPin(frame, page, session.pin_shard_)) {
         session.counters_.hits.Add(1);
         coordinator_->OnHit(session.slot_.get(), page, frame);
-        return PageHandle(this, page, frame, FrameData(frame));
+        return PageHandle(this, page, frame, session.pin_shard_,
+                          FrameData(frame));
       }
       // Mapped but mid-eviction or re-used: let the evictor finish.
       BPW_SCHEDULE_YIELD("pool.fetch_busy_retry");
@@ -509,21 +584,24 @@ StatusOr<PageHandle> BufferPool::FetchPage(Session& session, PageId page) {
       return status;
     }
 
-    // Publish: pin first, then the tag, then the table mapping, then the
-    // policy. The pin is a fetch_add, not a store: a stale pinner may hold
-    // a transient pin on this free frame, and its unpin must not cancel
-    // ours. Pinning before the tag store means whoever sees the new tag
-    // (a DropPage holding a stale lookup) also sees the pin.
+    // Publish: pin first (on the loader's shard), then the tag, then the
+    // table mapping, then the policy. The pin is a fetch_add, not a store: a
+    // stale pinner of the same shard may hold a transient pin on this free
+    // frame, and its unpin must not cancel ours. Pinning before the tag
+    // store means whoever sees the new tag (a DropPage holding a stale
+    // lookup) also sees the pin.
     BPW_SCHEDULE_POINT("pool.fetch_publish");
-    FrameMeta& meta = frames_[new_frame];
-    meta.dirty.store(false, std::memory_order_relaxed);
-    meta.state.fetch_add(1, std::memory_order_relaxed);
+    frames_[new_frame].dirty.store(false, std::memory_order_relaxed);
+    std::atomic<uint32_t>& pins = PinCount(session.pin_shard_, new_frame);
+    BPW_RELAXED_OK("the tag's release store below publishes this pin");
+    pins.fetch_add(1, std::memory_order_relaxed);
     frame_tags_[new_frame].store(page, std::memory_order_release);
     table_.PublishLoad(page, new_frame);
     coordinator_->CompleteMiss(session.slot_.get(), page, new_frame);
     session.counters_.misses.Add(1);
     LoadEnded();
-    return PageHandle(this, page, new_frame, FrameData(new_frame));
+    return PageHandle(this, page, new_frame, session.pin_shard_,
+                      FrameData(new_frame));
   }
 }
 
@@ -542,18 +620,17 @@ Status BufferPool::DropPage(Session& session, PageId page) {
   FrameMeta& meta = frames_[frame];
   if (!TryClaim(frame)) {
     return Status::FailedPrecondition(
-        (meta.state.load(std::memory_order_relaxed) & kBusy) != 0
-            ? "page is mid-I/O"
-            : "page is pinned");
+        meta.state.load(std::memory_order_relaxed) != 0 ? "page is mid-I/O"
+                                                        : "page is pinned");
   }
   if (FrameTag(frame) != page) {
     ReleaseClaim(frame);
     return Status::NotFound("page left the buffer concurrently");
   }
   // The lookup can be stale and the frame re-loaded with this same page
-  // since: its loader pins without checking kBusy, before storing the tag
-  // we just read, so its pin is visible here.
-  if ((meta.state.load(std::memory_order_acquire) & kPinMask) != 0) {
+  // since: its loader pins its shard without checking kBusy, before storing
+  // the tag we just read, so its pin is visible here.
+  if (Pinned(frame)) {
     ReleaseClaim(frame);
     return Status::FailedPrecondition("page is pinned");
   }
@@ -639,11 +716,14 @@ uint64_t BufferPool::StateFingerprint() const {
   fp.Combine(frames_.size());
   for (FrameId frame = 0; frame < frames_.size(); ++frame) {
     const FrameMeta& meta = frames_[frame];
-    const uint32_t state = meta.state.load(std::memory_order_acquire);
     fp.Combine(FrameTag(frame));
-    fp.Combine(state & kPinMask);
+    BPW_BOUNDED_BY(kPinShards);
+    for (uint32_t shard = 0; shard < kPinShards; ++shard) {
+      BPW_RELAXED_OK("quiesced read, like the rest of the fingerprint");
+      fp.Combine(PinCount(shard, frame).load(std::memory_order_relaxed));
+    }
     fp.Combine(meta.dirty.load(std::memory_order_relaxed) ? 1 : 0);
-    fp.Combine((state & kBusy) != 0 ? 1 : 0);
+    fp.Combine(meta.state.load(std::memory_order_relaxed) != 0 ? 1 : 0);
   }
   // The free list is a stack, so its order is part of the state (it decides
   // which frame the next miss takes).
@@ -660,11 +740,10 @@ Status BufferPool::CheckIntegrity() {
   // Quiesced-only check: no concurrent traffic allowed.
   size_t mapped = 0;
   for (FrameId frame = 0; frame < frames_.size(); ++frame) {
-    const uint32_t state = frames_[frame].state.load(std::memory_order_acquire);
-    if ((state & kPinMask) != 0) {
+    if (Pinned(frame)) {
       return Status::Corruption("quiesced frame still pinned");
     }
-    if ((state & kBusy) != 0) {
+    if (frames_[frame].state.load(std::memory_order_acquire) != 0) {
       return Status::Corruption("quiesced frame still marked io-busy");
     }
     const PageId page = FrameTag(frame);

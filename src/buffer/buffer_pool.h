@@ -8,11 +8,19 @@
 //      dirty, read the new page from storage, publish the mapping.
 //
 // Concurrency design:
-//   - Each frame has one atomic state word: a pin count plus a kBusy bit. A
-//     hit pins with one CAS (refused while kBusy is set) and releases with
-//     one fetch_sub; it takes no lock and writes no other shared line.
-//     Eviction and DropPage own a frame exclusively by CASing its state
-//     from 0 (idle) to kBusy.
+//   - Pins are sharded: each frame has kPinShards pin counts, one per shard,
+//     and each Session is bound to one shard. A hit pins with one fetch_add
+//     on its own shard's count and then reads the frame's claim word; it
+//     releases with one fetch_sub on the same count. It takes no lock, and
+//     with at most kPinShards sessions it writes no line another core writes.
+//   - The claim word holds kBusy or 0, and only evictors, DropPage and
+//     FlushAll write it. Eviction and DropPage own a frame exclusively by
+//     CASing it from 0 to kBusy and then finding every shard's count at
+//     zero. Pin and claim are each a seq_cst RMW followed by a seq_cst load
+//     of the other side's word, so a pin and a claim never both succeed.
+//   - Frame bytes live in one anonymous mapping, 2 MiB-aligned and advised
+//     for transparent huge pages (FrameArena), so a large pool spans few
+//     TLB entries and is not zero-filled up front.
 //   - A miss is "single-flight": it claims the page's page-table slot with
 //     one CAS to a loading sentinel and publishes the frame with one store.
 //     Concurrent faults on the same page find the sentinel and wait on a
@@ -28,6 +36,7 @@
 //     BP-Wrapper can re-validate queued accesses at commit time (§IV-B).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <vector>
@@ -75,12 +84,17 @@ class PageHandle {
 
  private:
   friend class BufferPool;
-  PageHandle(BufferPool* pool, PageId page, FrameId frame, uint8_t* data)
-      : pool_(pool), page_(page), frame_(frame), data_(data) {}
+  PageHandle(BufferPool* pool, PageId page, FrameId frame, uint32_t shard,
+             uint8_t* data)
+      : pool_(pool), page_(page), frame_(frame), shard_(shard), data_(data) {}
 
   BufferPool* pool_ = nullptr;
   PageId page_ = kInvalidPageId;
   FrameId frame_ = kInvalidFrameId;
+  // The pin shard the pin was taken on; Release unpins that shard whichever
+  // thread releases. It fits the padding after frame_, so a handle stays
+  // four words.
+  uint32_t shard_ = 0;
   uint8_t* data_ = nullptr;
 };
 
@@ -105,7 +119,7 @@ struct BufferPoolConfig {
   int eviction_retries = 64;
   /// MUTATION KNOB — tests only. Skips the eviction-time re-validation that
   /// a chosen victim is still unpinned and still holds the selected page:
-  /// the claim sets kBusy without checking the pin count.
+  /// the claim sets kBusy without scanning the pin shards.
   /// This deliberately re-introduces the race the re-validation exists to
   /// close, so the stress harness's mutation self-test can prove it detects
   /// the resulting corruption (tests/stress/mutation_test.cc).
@@ -113,6 +127,12 @@ struct BufferPoolConfig {
 };
 
 class BufferPool {
+ public:
+  /// Pin shards per frame. Sessions are bound to the least-loaded shard, so
+  /// up to this many concurrent sessions never write one another's pin
+  /// lines; more share shards, which stays correct (every pin is an RMW).
+  static constexpr uint32_t kPinShards = 4;
+
  private:
   /// The pool counters a session's thread writes. Cache-line aligned so two
   /// sessions' counters never share a line.
@@ -148,12 +168,16 @@ class BufferPool {
     /// Coordinator::SlotStateFingerprint (model-checker state dedup).
     const Coordinator::ThreadSlot* slot() const { return slot_.get(); }
 
+    /// The pin shard this session's pins go to (0..kPinShards-1).
+    uint32_t pin_shard() const { return pin_shard_; }
+
    private:
     friend class BufferPool;
     Session(BufferPool* pool, std::unique_ptr<Coordinator::ThreadSlot> slot)
         : pool_(pool), slot_(std::move(slot)) {}
     BufferPool* pool_;
     std::unique_ptr<Coordinator::ThreadSlot> slot_;
+    uint32_t pin_shard_ = 0;  // set once by CreateSession
     SessionCounters counters_;
     AccessStats base_;
   };
@@ -211,9 +235,9 @@ class BufferPool {
   /// by this counter plus the injector's torn-write count).
   uint64_t writeback_failures() const { return Totals().writeback_failures; }
 
-  /// Frames with a non-zero pin count (a snapshot under concurrency). The
-  /// pool is full — and a miss fails with ResourceExhausted — only when
-  /// this equals num_frames().
+  /// Frames with a non-zero pin count on some shard (a snapshot under
+  /// concurrency). The pool is full — and a miss fails with
+  /// ResourceExhausted — only when this equals num_frames().
   size_t pinned_frames() const;
 
   /// Structural integrity check for tests: table/tag/policy agreement.
@@ -230,43 +254,81 @@ class BufferPool {
  private:
   friend class PageHandle;
 
-  // FrameMeta::state layout: the pin count in the low 31 bits, kBusy on
-  // top. kBusy marks exclusive ownership (eviction, DropPage, FlushAll
-  // write-back); TryPin refuses a busy frame.
-  static constexpr uint32_t kBusy = 1u << 31;
-  static constexpr uint32_t kPinMask = kBusy - 1;
+  /// Frame bytes: one private anonymous mapping, 2 MiB-aligned. An arena
+  /// of at least 2 MiB is advised with MADV_HUGEPAGE; where transparent
+  /// huge pages are off the advice is ignored and the arena runs on base
+  /// pages. Pages are zero-filled by the kernel on first touch, not up
+  /// front.
+  class FrameArena {
+   public:
+    explicit FrameArena(size_t bytes);
+    ~FrameArena();
 
-  struct FrameMeta {
-    // Pins are acquire CASes and release fetch_subs; the relaxed accesses
-    // are the CAS-loop reloads and the full-pool scan, whose stale answers
-    // only cost a retry or a wait slice.
-    std::atomic<uint32_t> state{0} BPW_RELAXED_OK(
-        "CAS-loop reloads and full-pool scans tolerate staleness");
-    // Written by pin holders and the frame's exclusive owner; read by the
-    // owner after its acquire claim of `state`, which orders it.
-    std::atomic<bool> dirty{false} BPW_RELAXED_OK(
-        "ordered by the acquire claim / release unpin of state");
+    FrameArena(const FrameArena&) = delete;
+    FrameArena& operator=(const FrameArena&) = delete;
+
+    uint8_t* data() const { return data_; }
+
+   private:
+    uint8_t* data_ = nullptr;
+    size_t length_ = 0;  // bytes, rounded up to the base page size
   };
 
+  // The claim word (FrameMeta::state) is 0 or kBusy. kBusy marks exclusive
+  // ownership (eviction, DropPage, FlushAll write-back); TryPin refuses a
+  // busy frame.
+  static constexpr uint32_t kBusy = 1u << 31;
+
+  struct FrameMeta {
+    // The claim word. Written only by claimers (CAS / fetch_or / fetch_and);
+    // the relaxed loads are DropPage's error-message choice and the
+    // snapshot readers, whose stale answers cost nothing.
+    std::atomic<uint32_t> state{0} BPW_RELAXED_OK(
+        "status-message and snapshot reads tolerate staleness");
+    // Written by pin holders and the frame's exclusive owner; read by the
+    // owner after its claim, whose shard scan acquires every unpin.
+    std::atomic<bool> dirty{false} BPW_RELAXED_OK(
+        "ordered by the claim's acquire scan / release unpin of the pins");
+  };
+
+  // One cache line of one shard's pin counts. Each shard's array starts on
+  // its own line, so sessions of different shards never share a pin line.
+  static constexpr size_t kPinsPerLine = kCacheLineSize / sizeof(uint32_t);
+  struct alignas(kCacheLineSize) PinLine {
+    // Pins are seq_cst fetch_adds (TryPin) and release fetch_subs. The
+    // relaxed accesses, each marked at its site, are the loader's publish
+    // pin and the quiesced fingerprint's reads.
+    std::atomic<uint32_t> count[kPinsPerLine];
+  };
+
+  std::atomic<uint32_t>& PinCount(uint32_t shard, FrameId frame) const {
+    return pins_[shard * pin_lines_per_shard_ + frame / kPinsPerLine]
+        .count[frame % kPinsPerLine];
+  }
+  /// True if any shard holds a pin on `frame`.
+  bool Pinned(FrameId frame) const;
+
   uint8_t* FrameData(FrameId frame) {
-    return buffer_.data() + static_cast<size_t>(frame) * config_.page_size;
+    return arena_.data() + static_cast<size_t>(frame) * config_.page_size;
   }
   PageId FrameTag(FrameId frame) const {
     return frame_tags_[frame].load(std::memory_order_acquire);
   }
 
-  /// Attempts to pin `frame` expecting it to hold `page`. Returns false if
-  /// the frame is busy or moved on (caller retries the whole fetch).
-  bool TryPin(FrameId frame, PageId page);
+  /// Attempts to pin `frame` on `shard`, expecting it to hold `page`.
+  /// Returns false if the frame is busy or moved on (caller retries the
+  /// whole fetch).
+  bool TryPin(FrameId frame, PageId page, uint32_t shard);
 
-  void Unpin(FrameId frame, bool mark_dirty);
+  void Unpin(FrameId frame, uint32_t shard);
 
-  /// One CAS from idle (no pins, not busy) to kBusy: the exclusive claim
-  /// eviction and DropPage take. Single-shot by design — a failed claim is
-  /// the caller's race path, never a spin.
+  /// One CAS of the claim word from 0 to kBusy, then a scan that finds
+  /// every shard's pin count at zero: the exclusive claim eviction and
+  /// DropPage take. Single-shot by design — a failed claim is the caller's
+  /// race path, never a spin.
   bool TryClaim(FrameId frame);
-  /// Clears kBusy, keeping any pins taken meanwhile (a loader's publish
-  /// pin, a stale pinner's transient one).
+  /// Clears kBusy. Pins taken meanwhile (a loader's publish pin, a stale
+  /// pinner's transient one) live in the shards and are untouched.
   void ReleaseClaim(FrameId frame);
 
   /// Obtains a clean, unmapped frame: from the free list, or by evicting.
@@ -278,8 +340,9 @@ class BufferPool {
                                 "for num_frames at construction");
 
   /// Back-pressure signal: while a waiter is registered, every event that
-  /// may make a frame evictable (an unpin to zero, a released claim, a
-  /// free-list push) bumps signal_->epoch and wakes the waiters.
+  /// may make a frame evictable (a shard's pin count reaching zero, a
+  /// released claim on an unpinned frame, a free-list push) bumps
+  /// signal_->epoch and wakes the waiters.
   void FrameMayBeFree() {
     if (signal_->frame_waiters.load(std::memory_order_relaxed) != 0) {
       NotifyFrameWaiters();
@@ -318,8 +381,12 @@ class BufferPool {
   std::unique_ptr<Coordinator> coordinator_;
 
   PageTable table_;
-  std::vector<uint8_t> buffer_;
+  FrameArena arena_;
   std::vector<FrameMeta> frames_;
+  // kPinShards shard-major arrays of pin counts, each pin_lines_per_shard_
+  // lines long (see PinCount).
+  size_t pin_lines_per_shard_;
+  std::unique_ptr<PinLine[]> pins_;
   // Published by release-store in the mapping path, acquire-loaded by
   // readers (FrameTag); the single relaxed use is the pre-table-insert
   // construction fill, where no reader exists yet.
@@ -368,6 +435,8 @@ class BufferPool {
   // Live sessions and the counters of retired ones (see Totals()).
   mutable Mutex sessions_mu_;
   std::vector<Session*> sessions_ BPW_GUARDED_BY(sessions_mu_);
+  // Live sessions bound to each pin shard (CreateSession picks the least).
+  uint32_t shard_sessions_[kPinShards] BPW_GUARDED_BY(sessions_mu_) = {};
   PoolTotals retired_ BPW_GUARDED_BY(sessions_mu_);
 
   // Declared last so it unregisters before anything it reads is destroyed.

@@ -36,24 +36,10 @@ std::string MetricsSnapshot::ToJson() const {
 }
 
 MetricsRegistry& MetricsRegistry::Default() {
-  // Leaked on purpose: worker threads and the gauges and histograms handed
-  // out by GetGauge/GetHistogram may outlive static destruction order.
+  // Leaked on purpose: worker threads (and their components' sources) may
+  // outlive static destruction order.
   static MetricsRegistry* instance = new MetricsRegistry();
   return *instance;
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  MutexGuard guard(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
-HistogramMetric* MetricsRegistry::GetHistogram(const std::string& name) {
-  MutexGuard guard(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<HistogramMetric>();
-  return slot.get();
 }
 
 uint64_t MetricsRegistry::RegisterSource(MetricSourceFn fn) {
@@ -75,27 +61,11 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   snap.wall_nanos = NowNanos();
   MutexGuard guard(mu_);
-  for (const auto& [name, gauge] : gauges_) {
-    snap.AddGauge(name, static_cast<double>(gauge->value()));
-  }
-  for (const auto& [name, hist] : histograms_) {
-    const Histogram h = hist->snapshot();
-    snap.Add(name + ".count", static_cast<double>(h.count()));
-    snap.Add(name + ".mean", h.Mean());
-    snap.Add(name + ".p50", h.Percentile(50));
-    snap.Add(name + ".p95", h.Percentile(95));
-    snap.Add(name + ".max", static_cast<double>(h.max()));
-  }
   for (const auto& [id, fn] : sources_) {
     (void)id;
     fn(snap);
   }
   return snap;
-}
-
-void MetricsRegistry::ResetCounters() {
-  MutexGuard guard(mu_);
-  for (auto& [name, hist] : histograms_) hist->Reset();
 }
 
 }  // namespace obs

@@ -1,5 +1,5 @@
-// MetricsRegistry: named gauges / histograms and snapshot-time sources,
-// with a snapshot surface for the sampler and exporters.
+// MetricsRegistry: snapshot-time metric sources, with a snapshot surface
+// for the sampler and exporters.
 //
 // The counter idiom for hot paths is SingleWriterCounter: each counter has
 // one writer (a session, a coordinator thread slot, or whoever holds a
@@ -16,14 +16,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "sync/mutex.h"
-#include "sync/spinlock.h"
-#include "util/histogram.h"
 #include "util/thread_annotations.h"
 
 namespace bpw {
@@ -49,42 +46,6 @@ class SingleWriterCounter {
  private:
   std::atomic<uint64_t> value_{0} BPW_RELAXED_OK(
       "single writer; readers sum a moment-in-time value");
-};
-
-/// A point-in-time signed value (queue depth, free frames, ...).
-class Gauge {
- public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0} BPW_RELAXED_OK("stats gauge");
-};
-
-/// Thread-safe wrapper over util's Histogram for off-hot-path distributions
-/// (a Record is a short spinlock critical section; do not put this on a
-/// per-access path).
-class HistogramMetric {
- public:
-  void Record(uint64_t v) {
-    SpinLockGuard guard(lock_);
-    hist_.Record(v);
-  }
-
-  Histogram snapshot() const {
-    SpinLockGuard guard(lock_);
-    return hist_;
-  }
-
-  void Reset() {
-    SpinLockGuard guard(lock_);
-    hist_.Reset();
-  }
-
- private:
-  mutable SpinLock lock_;
-  Histogram hist_ BPW_GUARDED_BY(lock_);
 };
 
 /// One snapshot of every registered metric, keyed by name. std::map keeps
@@ -129,31 +90,18 @@ class MetricsRegistry {
   /// The process-wide registry the library's components register into.
   static MetricsRegistry& Default();
 
-  /// Returns the gauge or histogram named `name`, creating it on first
-  /// use. The pointer stays valid for the registry's lifetime, so
-  /// components cache it and update it without any lookup.
-  Gauge* GetGauge(const std::string& name);
-  HistogramMetric* GetHistogram(const std::string& name);
-
   /// Registers a snapshot-time contributor. Returns an id for Unregister.
   /// The callback must stay valid until UnregisterSource returns (use
   /// ScopedMetricSource to tie it to the owning object's lifetime).
   uint64_t RegisterSource(MetricSourceFn fn);
   void UnregisterSource(uint64_t id);
 
-  /// Reads every gauge/histogram and invokes every source.
-  /// Histograms contribute <name>.count/.mean/.p50/.p95/.max.
+  /// Invokes every source. The registry owns no metric state of its own:
+  /// counts and levels live in their components.
   MetricsSnapshot Snapshot() const;
-
-  /// Resets owned histograms (gauges are levels; sources own their own
-  /// state).
-  void ResetCounters();
 
  private:
   mutable Mutex mu_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ BPW_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_
-      BPW_GUARDED_BY(mu_);
   std::vector<std::pair<uint64_t, MetricSourceFn>> sources_
       BPW_GUARDED_BY(mu_);
   uint64_t next_source_id_ BPW_GUARDED_BY(mu_) = 1;

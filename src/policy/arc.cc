@@ -73,7 +73,7 @@ StatusOr<ReplacementPolicy::Victim> ArcPolicy::ChooseVictim(
       return victim;
     }
   }
-  return Status::ResourceExhausted("arc: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void ArcPolicy::OnMiss(PageId page, FrameId frame) {

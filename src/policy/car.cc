@@ -91,7 +91,7 @@ StatusOr<ReplacementPolicy::Victim> CarPolicy::ChooseVictim(
       }
     }
   }
-  return Status::ResourceExhausted("car: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void CarPolicy::OnMiss(PageId page, FrameId frame) {

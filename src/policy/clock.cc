@@ -54,7 +54,7 @@ StatusOr<ReplacementPolicy::Victim> ClockPolicy::ChooseVictim(
     SetPrefetchTarget(frame, nullptr);
     return Victim{node.page.load(std::memory_order_relaxed), frame};
   }
-  return Status::ResourceExhausted("clock: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void ClockPolicy::OnErase(PageId page, FrameId frame) {

@@ -221,7 +221,7 @@ StatusOr<ReplacementPolicy::Victim> ClockProPolicy::ChooseVictim(
     DropNode(node);
     return victim;
   }
-  return Status::ResourceExhausted("clockpro: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void ClockProPolicy::OnErase(PageId page, FrameId frame) {

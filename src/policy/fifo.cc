@@ -29,7 +29,7 @@ StatusOr<ReplacementPolicy::Victim> FifoPolicy::ChooseVictim(
     SetPrefetchTarget(frame, nullptr);
     return Victim{node->page, frame};
   }
-  return Status::ResourceExhausted("fifo: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void FifoPolicy::OnErase(PageId page, FrameId frame) {

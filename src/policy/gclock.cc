@@ -61,7 +61,7 @@ StatusOr<ReplacementPolicy::Victim> GClockPolicy::ChooseVictim(
     SetPrefetchTarget(frame, nullptr);
     return Victim{node.page.load(std::memory_order_relaxed), frame};
   }
-  return Status::ResourceExhausted("gclock: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void GClockPolicy::OnErase(PageId page, FrameId frame) {

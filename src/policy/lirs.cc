@@ -170,7 +170,7 @@ StatusOr<ReplacementPolicy::Victim> LirsPolicy::ChooseVictim(
     PruneStack();
     return Victim{page, frame};
   }
-  return Status::ResourceExhausted("lirs: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void LirsPolicy::OnErase(PageId page, FrameId frame) {

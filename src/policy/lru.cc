@@ -32,7 +32,7 @@ StatusOr<ReplacementPolicy::Victim> LruPolicy::ChooseVictim(
     SetPrefetchTarget(frame, nullptr);
     return Victim{node->page, frame};
   }
-  return Status::ResourceExhausted("lru: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void LruPolicy::OnErase(PageId page, FrameId frame) {

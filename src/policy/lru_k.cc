@@ -59,7 +59,7 @@ StatusOr<ReplacementPolicy::Victim> LruKPolicy::ChooseVictim(
     SetPrefetchTarget(frame, nullptr);
     return Victim{page, frame};
   }
-  return Status::ResourceExhausted("lru2: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void LruKPolicy::AddGhost(PageId page, uint64_t t1, uint64_t t2) {

@@ -81,7 +81,7 @@ StatusOr<ReplacementPolicy::Victim> MqPolicy::ChooseVictim(
       return Victim{node->page, frame};
     }
   }
-  return Status::ResourceExhausted("mq: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void MqPolicy::AddGhost(PageId page, uint64_t ref_count) {

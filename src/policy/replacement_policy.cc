@@ -22,4 +22,8 @@ void ReplacementPolicy::SetPrefetchTarget(FrameId frame, const void* node) {
   prefetch_targets_[frame].store(node, std::memory_order_relaxed);
 }
 
+Status NoEvictableFrame() {
+  return Status::ResourceExhausted("no victim");
+}
+
 }  // namespace bpw

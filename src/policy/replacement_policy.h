@@ -82,7 +82,7 @@ class BPW_CAPABILITY("policy") ReplacementPolicy {
   /// resident bookkeeping (possibly moving it to ghost history), and
   /// returns it. `incoming` is the page whose miss triggered the eviction
   /// (ARC/CAR consult their ghost lists for it; others ignore it).
-  /// Returns ResourceExhausted if no frame passes `evictable`.
+  /// Returns NoEvictableFrame() if no frame passes `evictable`.
   virtual StatusOr<Victim> ChooseVictim(const EvictableFn& evictable,
                                         PageId incoming)
       BPW_REQUIRES(this) = 0;
@@ -165,5 +165,11 @@ class BPW_CAPABILITY("policy") ReplacementPolicy {
   size_t num_frames_;
   std::vector<std::atomic<const void*>> prefetch_targets_ BPW_RELAXED_OK("prefetch hints; a racy read only mis-prefetches");
 };
+
+/// What every policy's ChooseVictim returns when no frame passes
+/// `evictable`: ResourceExhausted with a message short enough for
+/// std::string's inline buffer, so a failed search (which runs under the
+/// policy lock) allocates nothing. Callers act on the code alone.
+Status NoEvictableFrame();
 
 }  // namespace bpw

@@ -93,7 +93,7 @@ StatusOr<ReplacementPolicy::Victim> SeqPolicy::ChooseVictim(
     SetPrefetchTarget(frame, nullptr);
     return Victim{node->page, frame};
   }
-  return Status::ResourceExhausted("seq: no evictable frame");
+  return NoEvictableFrame();
 }
 
 void SeqPolicy::OnErase(PageId page, FrameId frame) {

@@ -72,7 +72,7 @@ StatusOr<ReplacementPolicy::Victim> TwoQPolicy::ChooseVictim(
     }
   }
   if (node == nullptr) {
-    return Status::ResourceExhausted("2q: no evictable frame");
+    return NoEvictableFrame();
   }
   const auto frame = static_cast<FrameId>(node - nodes_.data());
   const PageId page = node->page;

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -268,68 +269,6 @@ TEST(PoolConcurrencyTest, MissBlockedByAnotherThreadsPinsWaits) {
   EXPECT_TRUE(pool.CheckIntegrity().ok());
 }
 
-#if BPW_SCHEDULE_POINTS
-
-// Parks the one thread that called Gate() at a chosen schedule point until
-// the test resumes it; every other thread and point passes straight
-// through. This pins one exact interleaving of the pin protocol instead of
-// hoping a stress run finds it.
-class PointGate : public testing::ScheduleController {
- public:
-  PointGate() { Install(); }
-  ~PointGate() override { Uninstall(); }
-
-  /// Makes the calling thread the gated one.
-  static void Gate() { gated_ = true; }
-
-  void StopAt(const char* point) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_at_ = point;
-  }
-
-  /// Blocks until the gated thread is parked at the stop point.
-  void WaitParked() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return parked_; });
-  }
-
-  /// Releases the parked thread; it stops next at `next` (nullptr: never).
-  void Resume(const char* next) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_at_ = next;
-    parked_ = false;
-    cv_.notify_all();
-  }
-
-  /// Times the gated thread passed `point`.
-  int passes(const std::string& point) {
-    std::lock_guard<std::mutex> lock(mu_);
-    int n = 0;
-    for (const std::string& seen : seen_) n += seen == point ? 1 : 0;
-    return n;
-  }
-
-  void Perturb(const char* point, const void* /*obj*/) override {
-    if (!gated_) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    seen_.emplace_back(point);
-    if (stop_at_ == nullptr || std::strcmp(point, stop_at_) != 0) return;
-    parked_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return !parked_; });
-  }
-
- private:
-  static thread_local bool gated_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  const char* stop_at_ = nullptr;
-  bool parked_ = false;
-  std::vector<std::string> seen_;
-};
-
-thread_local bool PointGate::gated_ = false;
-
 // Two frames, LRU under the serialized coordinator: victim choice is
 // deterministic, and frames come off the free list lowest id first.
 struct TwoFramePool {
@@ -354,6 +293,104 @@ bool HoldsPage(const PageHandle& handle, PageId page) {
   const auto [word, version] = StorageEngine::ReadStamp(handle.data());
   return word == page * 0x9E3779B97F4A7C15ULL + version;
 }
+
+// Sessions of `pool` until one is bound to each pin shard, indexed by shard.
+std::vector<std::unique_ptr<BufferPool::Session>> OnePerShard(
+    BufferPool& pool) {
+  std::vector<std::unique_ptr<BufferPool::Session>> by_shard(
+      BufferPool::kPinShards);
+  for (uint32_t created = 0; created < 2 * BufferPool::kPinShards;
+       ++created) {
+    auto session = pool.CreateSession();
+    const uint32_t shard = session->pin_shard();
+    if (by_shard[shard] == nullptr) by_shard[shard] = std::move(session);
+  }
+  return by_shard;
+}
+
+#if BPW_SCHEDULE_POINTS
+
+// Parks a thread that called Gate() at a chosen schedule point until the
+// test resumes it; every other thread and point passes straight through.
+// Up to two threads can be gated at once, each under its own id. This pins
+// one exact interleaving of the pin protocol instead of hoping a stress run
+// finds it. Retry-loop yields count as points too.
+class PointGate : public testing::ScheduleController {
+ public:
+  static constexpr int kGates = 2;
+
+  PointGate() { Install(); }
+  ~PointGate() override { Uninstall(); }
+
+  /// Makes the calling thread gated thread `id`.
+  static void Gate(int id = 0) { gate_id_ = id; }
+
+  void StopAt(const char* point, int id = 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_at_[id] = point;
+  }
+
+  /// Blocks until gated thread `id` is parked at its stop point or has
+  /// called Finish(); returns whether it is parked.
+  bool WaitParked(int id = 0) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this, id] { return parked_[id] || finished_[id]; });
+    return parked_[id];
+  }
+
+  /// Releases parked thread `id`; it stops next at `next` (nullptr: never).
+  void Resume(const char* next, int id = 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_at_[id] = next;
+    parked_[id] = false;
+    cv_.notify_all();
+  }
+
+  /// Called by gated thread `id` when it is done, so WaitParked cannot
+  /// hang on a thread that ran past its stop point.
+  void Finish(int id = 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    finished_[id] = true;
+    cv_.notify_all();
+  }
+
+  /// Times gated thread `id` passed `point`.
+  int passes(const std::string& point, int id = 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    int n = 0;
+    for (const std::string& seen : seen_[id]) n += seen == point ? 1 : 0;
+    return n;
+  }
+
+  void Perturb(const char* point, const void* /*obj*/) override {
+    const int id = gate_id_;
+    if (id < 0) return;
+    std::unique_lock<std::mutex> lock(mu_);
+    seen_[id].emplace_back(point);
+    if (stop_at_[id] == nullptr || std::strcmp(point, stop_at_[id]) != 0) {
+      return;
+    }
+    parked_[id] = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this, id] { return !parked_[id]; });
+  }
+
+  void Yield(const char* point) override {
+    Perturb(point, nullptr);
+    std::this_thread::yield();
+  }
+
+ private:
+  static thread_local int gate_id_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  const char* stop_at_[kGates] = {};
+  bool parked_[kGates] = {};
+  bool finished_[kGates] = {};
+  std::vector<std::string> seen_[kGates];
+};
+
+thread_local int PointGate::gate_id_ = -1;
 
 struct StaleFetch {
   bool ok = false;
@@ -484,7 +521,215 @@ TEST(PinProtocolTest, DropOfAPageMidLoadIsRefused) {
   EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
 }
 
+TEST(PinProtocolTest, PinOnAnyShardFailsClaimAndDropAndLeavesClaimClear) {
+  // Fails under a claim that only CASes the claim word (no shard scan), and
+  // under one that scans only some shards: the evictor then takes frame 0
+  // from under a live handle, and the drop unmaps a pinned page.
+  for (uint32_t shard = 0; shard < BufferPool::kPinShards; ++shard) {
+    SCOPED_TRACE("pin shard " + std::to_string(shard));
+    TwoFramePool fixture;
+    BufferPool& pool = *fixture.pool;
+    auto evictor_session = pool.CreateSession();
+    auto pinners = OnePerShard(pool);
+    ASSERT_NE(pinners[shard], nullptr);
+    BufferPool::Session& pinner = *pinners[shard];
+    ASSERT_EQ(pinner.pin_shard(), shard);
+    ASSERT_TRUE(pool.FetchPage(*evictor_session, 1).ok());  // frame 0, LRU
+    ASSERT_TRUE(pool.FetchPage(*evictor_session, 3).ok());  // frame 1
+
+    // DropPage against a pin on this shard.
+    {
+      auto pinned = pool.FetchPage(pinner, 1);
+      ASSERT_TRUE(pinned.ok());
+      const Status drop = pool.DropPage(*evictor_session, 1);
+      EXPECT_EQ(drop.code(), StatusCode::kFailedPrecondition)
+          << drop.ToString();
+      EXPECT_TRUE(HoldsPage(pinned.value(), 1));
+    }
+    EXPECT_TRUE(pool.CheckIntegrity().ok())
+        << "failed drop left the frame claimed: "
+        << pool.CheckIntegrity().ToString();
+
+    // An eviction claim against a pin that lands after victim selection.
+    ASSERT_TRUE(pool.FetchPage(*evictor_session, 3).ok());  // page 1 is LRU
+    PointGate gate;
+    gate.StopAt("pool.evict_claim");
+    FrameId evictor_frame = kInvalidFrameId;
+    bool evictor_bytes = false;
+    std::thread evictor([&] {
+      PointGate::Gate();
+      auto handle = pool.FetchPage(*evictor_session, 2);
+      if (handle.ok()) {
+        evictor_frame = handle.value().frame();
+        evictor_bytes = HoldsPage(handle.value(), 2);
+      }
+      gate.Finish();
+    });
+    ASSERT_TRUE(gate.WaitParked());  // page 1 (frame 0) chosen, unclaimed
+    auto pinned = pool.FetchPage(pinner, 1);
+    ASSERT_TRUE(pinned.ok());
+    ASSERT_EQ(pinned.value().frame(), 0u);
+    gate.Resume(nullptr);
+    evictor.join();
+
+    EXPECT_EQ(pool.eviction_races(), 1u);
+    EXPECT_EQ(evictor_frame, 1u) << "the evictor took the pinned frame";
+    EXPECT_TRUE(evictor_bytes);
+    EXPECT_TRUE(HoldsPage(pinned.value(), 1))
+        << "a pinned page's bytes were replaced";
+    pinned.value().Release();
+    EXPECT_TRUE(pool.CheckIntegrity().ok())
+        << pool.CheckIntegrity().ToString();
+  }
+}
+
+TEST(PinProtocolTest, PinnerParkedBeforeItsPinBacksOffFromALandedClaim) {
+  // The pinner looks up page 1 and parks before pinning; a drop then claims
+  // the frame and parks holding it. The pinner's add must be undone when it
+  // sees kBusy, so every shard reads zero while it waits to retry. Fails
+  // under a back-off that leaves its add on the shard (pinned_frames() is 1
+  // here), and under a TryPin that ignores the claim word (the pinner hits
+  // the frame being dropped and never reaches the retry).
+  TwoFramePool fixture;
+  BufferPool& pool = *fixture.pool;
+  auto drop_session = pool.CreateSession();
+  auto pin_session = pool.CreateSession();
+  ASSERT_NE(drop_session->pin_shard(), pin_session->pin_shard());
+  ASSERT_TRUE(pool.FetchPage(*drop_session, 1).ok());  // frame 0, unpinned
+
+  PointGate gate;
+  gate.StopAt("pool.try_pin", /*id=*/0);
+  gate.StopAt("pool.drop_erase", /*id=*/1);
+  StaleFetch stale;
+  std::thread pinner([&] {
+    PointGate::Gate(0);
+    auto handle = pool.FetchPage(*pin_session, 1);
+    stale.ok = handle.ok();
+    if (handle.ok()) stale.right_bytes = HoldsPage(handle.value(), 1);
+    stale.stats = pin_session->stats();
+    gate.Finish(0);
+  });
+  ASSERT_TRUE(gate.WaitParked(0));  // looked up page 1 -> frame 0
+
+  Status drop_status;
+  std::thread dropper([&] {
+    PointGate::Gate(1);
+    drop_status = pool.DropPage(*drop_session, 1);
+    gate.Finish(1);
+  });
+  ASSERT_TRUE(gate.WaitParked(1));  // holds frame 0's claim
+
+  gate.Resume("pool.fetch_busy_retry", 0);
+  const bool backed_off = gate.WaitParked(0);
+  EXPECT_TRUE(backed_off) << "the pinner pinned a claimed frame";
+  EXPECT_EQ(gate.passes("pool.pin_validate", 0), 0);
+  EXPECT_EQ(pool.pinned_frames(), 0u) << "a backed-off pin stayed on a shard";
+
+  gate.Resume(nullptr, 1);
+  dropper.join();
+  EXPECT_TRUE(drop_status.ok()) << drop_status.ToString();
+  gate.Resume(nullptr, 0);
+  pinner.join();
+  ASSERT_TRUE(stale.ok);
+  EXPECT_TRUE(stale.right_bytes);
+  EXPECT_EQ(stale.stats.hits, 0u);
+  EXPECT_EQ(stale.stats.misses, 1u) << "page 1 was not reloaded";
+  EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
+}
+
 #endif  // BPW_SCHEDULE_POINTS
+
+TEST(PinProtocolTest, HandleReleasedOnAnotherThreadUnpinsItsOwnShard) {
+  // The handle carries its pin's shard: fails if Release unpins the
+  // releasing thread's session shard (or shard 0), or if a move drops the
+  // shard id — one shard then stays pinned and another wraps below zero.
+  TwoFramePool fixture;
+  BufferPool& pool = *fixture.pool;
+  auto sessions = OnePerShard(pool);
+  BufferPool::Session& fetcher = *sessions[1];
+  BufferPool::Session& releaser = *sessions[2];
+
+  auto fetched = pool.FetchPage(fetcher, 5);
+  ASSERT_TRUE(fetched.ok());
+  PageHandle moved(std::move(fetched).value());
+  std::thread other([&pool, &releaser, &moved] {
+    auto own = pool.FetchPage(releaser, 5);  // a pin on the releaser's shard
+    ASSERT_TRUE(own.ok());
+    PageHandle taken;
+    taken = std::move(moved);
+    EXPECT_TRUE(HoldsPage(taken, 5));
+    taken.Release();
+    own.value().Release();
+  });
+  other.join();
+
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+  EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
+  EXPECT_TRUE(pool.DropPage(fetcher, 5).ok());
+}
+
+TEST(PinProtocolTest, TwiceAsManySessionsAsShardsKeepStampsAndIntegrity) {
+  // Two sessions per pin shard churn a small pool with evictions and drops
+  // and check every page's bytes across a yield while pinned. Fails under a
+  // claim that skips the shard scan (an evictor re-uses a frame under a
+  // live handle, and its bytes change).
+  constexpr size_t kFrames = 16;
+  constexpr uint64_t kPages = 64;
+  StorageEngine storage(kPages, kPageSize);
+  SystemConfig system;
+  system.policy = "lru";
+  system.coordinator = "serialized";
+  auto coordinator = CreateCoordinator(system, kFrames);
+  ASSERT_TRUE(coordinator.ok());
+  BufferPoolConfig config;
+  config.num_frames = kFrames;
+  config.page_size = kPageSize;
+  BufferPool pool(config, &storage, std::move(coordinator).value());
+
+  constexpr uint32_t kThreads = 2 * BufferPool::kPinShards;
+  std::vector<std::unique_ptr<BufferPool::Session>> sessions;
+  std::vector<uint32_t> per_shard(BufferPool::kPinShards, 0);
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    sessions.push_back(pool.CreateSession());
+    ++per_shard[sessions.back()->pin_shard()];
+  }
+  for (const uint32_t n : per_shard) EXPECT_EQ(n, 2u);
+
+  std::atomic<uint64_t> wrong_bytes{0};
+  std::atomic<uint64_t> errors{0};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      BufferPool::Session& session = *sessions[t];
+      Random rng(500 + t);
+      for (int i = 0; i < 3000; ++i) {
+        const PageId page = rng.Uniform(kPages);
+        if (rng.Bernoulli(0.05)) {
+          const Status drop = pool.DropPage(session, page);
+          if (!drop.ok() && !drop.IsNotFound() &&
+              drop.code() != StatusCode::kFailedPrecondition) {
+            errors.fetch_add(1);
+          }
+          continue;
+        }
+        auto handle = pool.FetchPage(session, page);
+        if (!handle.ok()) {
+          errors.fetch_add(1);
+          continue;
+        }
+        if (!HoldsPage(handle.value(), page)) wrong_bytes.fetch_add(1);
+        std::this_thread::yield();
+        if (!HoldsPage(handle.value(), page)) wrong_bytes.fetch_add(1);
+      }
+      pool.FlushSession(session);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_EQ(wrong_bytes.load(), 0u);
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+  EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
+}
 
 }  // namespace
 }  // namespace bpw

@@ -2,7 +2,11 @@
 // pinning, eviction, dirty write-back, drop, and integrity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <thread>
+#include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "core/coordinator_factory.h"
@@ -367,6 +371,58 @@ TEST(BufferPoolTest, RegistryCountersAreTheSessionTotalsAndStayMonotone) {
   const obs::MetricsSnapshot more = delta();
   EXPECT_EQ(more.value("buffer.hits") + more.value("buffer.misses"),
             retired.value("buffer.hits") + retired.value("buffer.misses") + 1);
+}
+
+
+TEST(FrameArenaTest, FramesAreAlignedAndDisjointForEveryArenaSize) {
+  // Arenas under one huge page, of exact 2 MiB multiples, and of sizes that
+  // are not a multiple. Fails under an arena that rounds its size down to
+  // whole huge pages (the last frames fall outside the mapping), and under
+  // one that keeps the unaligned head of its over-sized mapping (frame 0 is
+  // then not 2 MiB-aligned).
+  constexpr size_t kFramePage = 4096;
+  constexpr uintptr_t kHugePage = uintptr_t{2} << 20;
+  for (const size_t frames : {size_t{8}, size_t{512}, size_t{1024},
+                              size_t{700}}) {
+    SCOPED_TRACE(std::to_string(frames) + " frames");
+    StorageEngine storage(frames, kFramePage);
+    BufferPoolConfig config;
+    config.num_frames = frames;
+    config.page_size = kFramePage;
+    BufferPool pool(config, &storage,
+                    std::make_unique<SerializedCoordinator>(
+                        std::make_unique<LruPolicy>(frames)));
+    auto session = pool.CreateSession();
+    std::vector<PageHandle> handles;
+    for (PageId page = 0; page < frames; ++page) {
+      auto handle = pool.FetchPage(*session, page);
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      handles.push_back(std::move(handle).value());
+    }
+    std::vector<uintptr_t> starts;
+    for (PageHandle& handle : handles) {
+      const uintptr_t start = reinterpret_cast<uintptr_t>(handle.data());
+      EXPECT_EQ(start % kFramePage, 0u);
+      if (handle.frame() == 0) {
+        EXPECT_EQ(start % kHugePage, 0u);
+      }
+      starts.push_back(start);
+      // Fill the page past its stamp; a frame overlapping another would
+      // overwrite that frame's stamp or fill.
+      std::memset(handle.data() + 64, static_cast<int>(handle.page() & 0xff),
+                  kFramePage - 64);
+    }
+    std::sort(starts.begin(), starts.end());
+    for (size_t i = 1; i < starts.size(); ++i) {
+      EXPECT_GE(starts[i] - starts[i - 1], kFramePage);
+    }
+    for (PageHandle& handle : handles) {
+      const auto [word, version] = StorageEngine::ReadStamp(handle.data());
+      EXPECT_EQ(word, handle.page() * 0x9E3779B97F4A7C15ULL + version);
+      EXPECT_EQ(handle.data()[kFramePage - 1],
+                static_cast<uint8_t>(handle.page() & 0xff));
+    }
+  }
 }
 
 }  // namespace

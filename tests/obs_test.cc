@@ -69,21 +69,22 @@ ScopedMetricSource CounterSource(MetricsRegistry& reg, const std::string& name,
 }
 
 TEST(MetricsRegistryTest, SnapshotReadsAllKinds) {
+  // Both kinds a source contributes: a count and a level.
   MetricsRegistry reg;
   SingleWriterCounter c;
-  const ScopedMetricSource source = CounterSource(reg, "c", c);
+  const ScopedMetricSource counter = CounterSource(reg, "c", c);
+  int64_t level = -4;
+  const ScopedMetricSource gauge(&reg, [&level](MetricsSnapshot& s) {
+    s.AddGauge("g", static_cast<double>(level));
+  });
   c.Add(11);
-  reg.GetGauge("g")->Set(-4);
-  reg.GetHistogram("h")->Record(100);
-  reg.GetHistogram("h")->Record(300);
 
   MetricsSnapshot snap = reg.Snapshot();
   EXPECT_GT(snap.wall_nanos, 0u);
   EXPECT_DOUBLE_EQ(snap.value("c"), 11.0);
   EXPECT_DOUBLE_EQ(snap.value("g"), -4.0);
-  EXPECT_DOUBLE_EQ(snap.value("h.count"), 2.0);
-  EXPECT_DOUBLE_EQ(snap.value("h.mean"), 200.0);
-  EXPECT_DOUBLE_EQ(snap.value("h.max"), 300.0);
+  EXPECT_EQ(snap.gauges.count("g"), 1u);
+  EXPECT_EQ(snap.gauges.count("c"), 0u);
   EXPECT_DOUBLE_EQ(snap.value("missing", -1.0), -1.0);
 }
 
@@ -112,16 +113,17 @@ TEST(MetricsRegistryTest, ScopedSourceUnregistersOnDestruction) {
 }
 
 TEST(MetricsRegistryTest, ResetCountersZeroesOwnedMetrics) {
+  // The registry owns no metric state: a reset is the owning component's
+  // (its counter's writer), and the next snapshot reads it.
   MetricsRegistry reg;
   SingleWriterCounter c;
   const ScopedMetricSource source = CounterSource(reg, "c", c);
   c.Add(5);
-  reg.GetHistogram("h")->Record(9);
-  reg.ResetCounters();
-  MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_DOUBLE_EQ(snap.value("h.count"), 0.0);
-  // A source owns its own state: the registry's reset does not reach it.
-  EXPECT_DOUBLE_EQ(snap.value("c"), 5.0);
+  EXPECT_DOUBLE_EQ(reg.Snapshot().value("c"), 5.0);
+  c.Reset();
+  EXPECT_DOUBLE_EQ(reg.Snapshot().value("c"), 0.0);
+  c.Add(2);
+  EXPECT_DOUBLE_EQ(reg.Snapshot().value("c"), 2.0);
 }
 
 TEST(MetricsSnapshotTest, DeltaFromSubtractsPointwise) {
@@ -144,10 +146,13 @@ TEST(MetricsSnapshotTest, DeltaFromKeepsGauges) {
   MetricsRegistry reg;
   SingleWriterCounter work;
   const ScopedMetricSource source = CounterSource(reg, "work", work);
-  reg.GetGauge("frames")->Set(2048);
+  double frames = 2048;
+  const ScopedMetricSource level(&reg, [&frames](MetricsSnapshot& s) {
+    s.AddGauge("frames", frames);
+  });
   work.Add(10);
   const MetricsSnapshot before = reg.Snapshot();
-  reg.GetGauge("frames")->Set(2000);
+  frames = 2000;
   work.Add(32);
   const MetricsSnapshot after = reg.Snapshot();
 

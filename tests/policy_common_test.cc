@@ -9,13 +9,36 @@
 //   - CheckInvariants holds after every kind of mutation
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "policy/policy_factory.h"
 #include "util/random.h"
+
+namespace {
+
+// operator new calls made on this thread while counting is on.
+thread_local bool counting_allocations = false;
+thread_local uint64_t counted_allocations = 0;
+
+}  // namespace
+
+// Counting replacements of the global allocation functions (this test
+// binary only). Aligned new/delete keep the library's own pair.
+void* operator new(std::size_t size) {
+  if (counting_allocations) ++counted_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace bpw {
 namespace {
@@ -108,6 +131,26 @@ TEST_P(PolicyTest, VictimOnEmptyIsResourceExhausted) {
   auto victim = policy->ChooseVictim(AllEvictable(), 123);
   ASSERT_FALSE(victim.ok());
   EXPECT_EQ(victim.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST_P(PolicyTest, FailedVictimSearchAllocatesNothing) {
+  // A failed search runs under the policy lock on every miss that finds
+  // all frames pinned; it must not allocate (its status included).
+  auto policy = MakePolicy();
+  policy->AssertExclusiveAccess();
+  for (PageId page = 0; page < kFrames; ++page) {
+    policy->OnMiss(page, static_cast<FrameId>(page));
+  }
+  const ReplacementPolicy::EvictableFn none = [](FrameId) { return false; };
+  for (int search = 0; search < 2; ++search) {
+    counted_allocations = 0;
+    counting_allocations = true;
+    const bool found = policy->ChooseVictim(none, 1000 + search).ok();
+    counting_allocations = false;
+    EXPECT_FALSE(found);
+    EXPECT_EQ(counted_allocations, 0u) << "search " << search;
+  }
+  EXPECT_TRUE(policy->CheckInvariants().ok());
 }
 
 TEST_P(PolicyTest, FillToCapacity) {
