@@ -16,7 +16,6 @@
 #include "util/clock.h"
 #include "workload/trace_generator.h"
 
-#include <cstring>
 #include <thread>
 
 using namespace bpw;
@@ -196,33 +195,6 @@ int RunBench() {
     }
     table.Print("C — batching vs prefetching in isolation (condensed Fig. 6 "
                 "ranking at the largest thread count)");
-  }
-
-  // ---- D: private vs shared FIFO queues (host threads) ---------------------
-  // The paper's §III-A design decision: a single shared queue synchronizes
-  // on every page hit (its own lock + cache-line traffic); private queues
-  // record for free.
-  {
-    TableReporter table({"queue design", "tps", "policy-lock acq",
-                         "queue-lock acq"});
-    for (const char* kind : {"bp-wrapper", "shared-queue"}) {
-      DriverConfig config = ScalabilityRunConfig("dbt2", 8192, cell_ms);
-      config.num_threads = threads;
-      config.think_work = 64;
-      config.system.policy = "2q";
-      config.system.coordinator = kind;
-      config.system.queue_size = 64;
-      config.system.batch_threshold = 32;
-      DriverResult r = MustOk(RunDriver(config), "ablation D");
-      const char* queue_locks =
-          std::strcmp(kind, "shared-queue") == 0 ? "1 per access" : "0";
-      table.AddRow({kind, FormatDouble(r.throughput_tps, 0),
-                    std::to_string(r.lock.acquisitions), queue_locks});
-    }
-    table.Print("D — private (BP-Wrapper) vs shared FIFO queue (the §III-A "
-                "alternative the paper rejected): same policy-lock batching, "
-                "but the shared queue adds a per-access synchronization "
-                "point");
   }
   return 0;
 }

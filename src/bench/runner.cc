@@ -29,7 +29,6 @@ TrialSample SampleFrom(const DriverResult& r) {
 constexpr const char* kDeterministicRegistryKeys[] = {
     "coord.commit_batches",   "coord.committed_entries",
     "coord.stale_commits",    "coord.lock_fallbacks",
-    "coord.queue_lock_acquisitions",
 };
 
 void FillCounters(const DriverResult& r, CaseResult& out) {

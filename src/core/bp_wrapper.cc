@@ -149,6 +149,10 @@ void BpWrapperCoordinator::OnHit(ThreadSlot* base_slot, PageId page,
   queue.Record(page, frame);
 
   if (queue.size() < options_.batch_threshold) return;
+  if (options_.test_commit_without_lock) {
+    DrainWithoutLock(slot);
+    return;
+  }
 
   // Threshold reached: try to commit without blocking (Fig. 4 line 8).
   BPW_SCHEDULE_POINT("bpw.before_trylock");
@@ -167,6 +171,15 @@ void BpWrapperCoordinator::OnHit(ThreadSlot* base_slot, PageId page,
   }
   lock_.Lock();
   CommitAndRelease(slot);
+}
+
+void BpWrapperCoordinator::DrainWithoutLock(Slot* slot) {
+  // DrainOwnLocked minus its precondition: the policy's
+  // AssertExclusiveAccess fires with no ordering lock, which is exactly the
+  // race the certifier must report.
+  DrainOutcome out;
+  DrainOwnLocked(slot, out);
+  PostCommitBookkeeping(slot, out);
 }
 
 StatusOr<Coordinator::Victim> BpWrapperCoordinator::ChooseVictim(

@@ -62,6 +62,13 @@ class BpWrapperCoordinator : public Coordinator {
     /// on stale history. Breaks the single-thread equivalence property that
     /// tests/stress/mutation_test.cc asserts the net catches.
     bool test_skip_commit_before_victim = false;
+    /// MUTATION KNOB — tests only. When the batch threshold fires, drain
+    /// the thread's queue into the policy WITHOUT taking lock_ (no TryLock,
+    /// no fallback), violating the policy's serialization contract. Exists
+    /// so the model checker's vector-clock race certifier can prove it
+    /// catches an unordered AssertExclusiveAccess pair as a race (the
+    /// dynamic cross-validation of the static lock annotations).
+    bool test_commit_without_lock = false;
   };
 
   BpWrapperCoordinator(std::unique_ptr<ReplacementPolicy> policy,
@@ -151,6 +158,12 @@ class BpWrapperCoordinator : public Coordinator {
   /// Replays the thread's queue into the policy with §IV-B tag
   /// re-validation and clears it.
   void DrainOwnLocked(Slot* slot, DrainOutcome& out) BPW_REQUIRES(lock_);
+
+  /// MUTATION: DrainOwnLocked with NO policy lock held. Deliberately exempt
+  /// from the thread-safety analysis — the point is to execute the
+  /// statically forbidden interleaving so the race certifier can catch it.
+  /// Only reachable via Options::test_commit_without_lock.
+  void DrainWithoutLock(Slot* slot) BPW_NO_THREAD_SAFETY_ANALYSIS;
 
   /// ChooseVictim's locked part: commit the queue, then ask the policy.
   StatusOr<Victim> DrainAndChoose(Slot* slot, const EvictableFn& evictable,

@@ -11,8 +11,6 @@
 //   BpWrapperCoordinator    — the paper's framework: per-thread FIFO queues,
 //                             batched commits via TryLock, optional
 //                             prefetching ("pgBat" / "pgBatPre").
-//   SharedQueueCoordinator  — one queue shared by all threads: the §III-A
-//                             design the paper rejected (ablations only).
 //   ClockCoordinator        — lock-free reference-bit hits for CLOCK/GCLOCK:
 //                             the paper's scalability yardstick ("pgClock").
 //
@@ -105,8 +103,8 @@ class Coordinator {
   virtual std::string name() const = 0;
 
   // --- Model-checker support (src/mc) -------------------------------------
-  // Structural fingerprints of coordinator-internal state (shared queues,
-  // commit buffers) and per-slot state (the BP-Wrapper FIFO), used for
+  // Structural fingerprints of coordinator-internal state (the policy) and
+  // per-slot state (the BP-Wrapper FIFO), used for
   // visited-state dedup. Quiesced callers only: the cooperative scheduler
   // holds every worker parked while fingerprinting. A coordinator that does
   // not implement fingerprinting reports unsupported and the explorer

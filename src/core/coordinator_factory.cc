@@ -3,7 +3,6 @@
 #include "core/bp_wrapper.h"
 #include "core/clock_coordinator.h"
 #include "core/serialized_coordinator.h"
-#include "core/shared_queue_coordinator.h"
 #include "policy/policy_factory.h"
 
 namespace bpw {
@@ -35,14 +34,6 @@ StatusOr<std::unique_ptr<Coordinator>> CreateCoordinator(
     options.instrumentation = config.instrumentation;
     return std::unique_ptr<Coordinator>(
         new SerializedCoordinator(std::move(policy).value(), options));
-  }
-  if (config.coordinator == "shared-queue") {
-    SharedQueueCoordinator::Options options;
-    options.queue_size = config.queue_size;
-    options.batch_threshold = config.batch_threshold;
-    options.instrumentation = config.instrumentation;
-    return std::unique_ptr<Coordinator>(
-        new SharedQueueCoordinator(std::move(policy).value(), options));
   }
   if (config.coordinator == "bp-wrapper") {
     BpWrapperCoordinator::Options options;

@@ -16,8 +16,7 @@ struct SystemConfig {
   /// Policy name understood by CreatePolicy ("2q", "lirs", "clock", ...).
   std::string policy = "2q";
   /// Coordinator kind: "serialized", "bp-wrapper" (the paper's protocol,
-  /// BpWrapperCoordinator), "shared-queue" (the §III-A design the paper
-  /// rejected; for ablations), or "clock-lockfree" (requires policy "clock"
+  /// BpWrapperCoordinator), or "clock-lockfree" (requires policy "clock"
   /// or "gclock").
   std::string coordinator = "serialized";
   bool prefetch = false;      ///< §III-B prefetching

@@ -8,7 +8,7 @@
 //
 //   bpw-mc-replay 1
 //   scenario eviction
-//   param coordinator shared-queue
+//   param coordinator bp-wrapper
 //   param threads 2
 //   ...
 //   violation invariant

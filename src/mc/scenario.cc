@@ -7,7 +7,6 @@
 #include "buffer/buffer_pool.h"
 #include "core/bp_wrapper.h"
 #include "core/serialized_coordinator.h"
-#include "core/shared_queue_coordinator.h"
 #include "policy/policy_factory.h"
 #include "storage/storage_engine.h"
 #include "util/fingerprint.h"
@@ -30,26 +29,19 @@ std::unique_ptr<Coordinator> BuildCoordinator(const ScenarioConfig& config,
   if (config.coordinator == "serialized") {
     return std::make_unique<SerializedCoordinator>(std::move(policy).value());
   }
-  if (config.coordinator == "shared-queue") {
-    SharedQueueCoordinator::Options options;
-    options.queue_size = config.queue_size;
-    options.batch_threshold = config.batch_threshold;
-    options.test_commit_without_lock =
-        !faithful && config.mutate_commit_without_lock;
-    return std::make_unique<SharedQueueCoordinator>(std::move(policy).value(),
-                                                    options);
-  }
   if (config.coordinator == "bp-wrapper") {
     BpWrapperCoordinator::Options options;
     options.queue_size = config.queue_size;
     options.batch_threshold = config.batch_threshold;
     options.test_skip_commit_before_victim =
         !faithful && config.mutate_skip_commit_before_victim;
+    options.test_commit_without_lock =
+        !faithful && config.mutate_commit_without_lock;
     return std::make_unique<BpWrapperCoordinator>(std::move(policy).value(),
                                                   options);
   }
   *error = "unknown coordinator '" + config.coordinator +
-           "' (serialized, shared-queue, bp-wrapper)";
+           "' (serialized, bp-wrapper)";
   return nullptr;
 }
 
@@ -170,20 +162,17 @@ StatusOr<ScenarioConfig> Scenario::Preset(const std::string& name) {
   ScenarioConfig config;
   config.name = name;
   if (name == "eviction") {
-    // The acceptance scenario: 2 threads, 4 pages, 2 frames, shared queue
-    // with batch threshold 2. Constant eviction pressure; every miss path
-    // and the victim-revalidation window are exercised.
-    return config;
-  }
-  if (name == "handoff") {
-    config.coordinator = "bp-wrapper";
+    // The acceptance scenario: 2 threads, 2 frames, BP-Wrapper with batch
+    // threshold 2. Constant eviction pressure; every miss path and the
+    // victim-revalidation window are exercised. scenario.h says why the
+    // traces are chosen rather than generated.
+    config.thread_traces = {{0, 1, 2}, {1, 0}};
     return config;
   }
   if (name == "race") {
     // All threads walk the same two resident-after-warmup pages: maximal
-    // hit traffic through the shared queue, no evictions. This is the
-    // stage for the commit-without-lock mutation.
-    config.coordinator = "shared-queue";
+    // hit traffic through BP-Wrapper's batched commits, no evictions. This
+    // is the stage for the commit-without-lock mutation.
     config.pages = 2;
     config.frames = 2;
     config.ops_per_thread = 4;
@@ -196,7 +185,6 @@ StatusOr<ScenarioConfig> Scenario::Preset(const std::string& name) {
     // on page 0 sits queued when the miss on page 2 evicts. Committed
     // first (faithful), LRU evicts page 1 and the final op hits; skipped
     // (mutated), LRU evicts page 0 and the final op misses.
-    config.coordinator = "bp-wrapper";
     config.threads = 1;
     config.pages = 3;
     config.frames = 2;
@@ -229,7 +217,7 @@ StatusOr<ScenarioConfig> Scenario::Preset(const std::string& name) {
 }
 
 std::vector<std::string> Scenario::PresetNames() {
-  return {"eviction", "handoff", "race", "serial", "backpressure"};
+  return {"eviction", "race", "serial", "backpressure"};
 }
 
 std::vector<PageId> Scenario::TraceFor(int thread) const {

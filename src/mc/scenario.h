@@ -37,8 +37,8 @@ namespace mc {
 
 struct ScenarioConfig {
   std::string name = "eviction";
-  /// "serialized", "shared-queue", or "bp-wrapper".
-  std::string coordinator = "shared-queue";
+  /// "serialized" or "bp-wrapper".
+  std::string coordinator = "bp-wrapper";
   /// Any CreatePolicy name; only fingerprint-supporting policies (lru,
   /// fifo, clock, gclock) enable state dedup.
   std::string policy = "lru";
@@ -63,7 +63,7 @@ struct ScenarioConfig {
   // prove it finds them):
   bool mutate_skip_victim_revalidation = false;   // BufferPoolConfig knob
   bool mutate_skip_commit_before_victim = false;  // BpWrapperCoordinator knob
-  bool mutate_commit_without_lock = false;        // SharedQueueCoordinator knob
+  bool mutate_commit_without_lock = false;        // BpWrapperCoordinator knob
 
   uint64_t max_decisions = 10000;
 };
@@ -104,19 +104,34 @@ class Scenario {
   explicit Scenario(ScenarioConfig config) : config_(std::move(config)) {}
 
   /// Named presets (the CLI's --scenario values):
-  ///   "eviction" — 2 threads contending for 2 frames over 4 pages through
-  ///                a SharedQueueCoordinator (the acceptance scenario);
-  ///   "handoff"  — 2 threads through the "bp-wrapper" coordinator (TryLock
-  ///                commit handoffs and the lock fallback path);
-  ///   "race"     — 2 threads, all-hit trace through SharedQueueCoordinator
-  ///                (every hit crosses the shared queue; the stage for the
-  ///                commit-without-lock mutation);
+  ///   "eviction" — 2 threads contending for 2 frames through the
+  ///                "bp-wrapper" coordinator (the acceptance scenario), on
+  ///                the traces {0,1,2} and {1,0}. They are chosen, not
+  ///                generated, so that BP-Wrapper reaches a victim's
+  ///                select->claim window: a hit below the batch threshold
+  ///                passes no schedule point between its pin and the
+  ///                worker's stamp check, and on the generated traces
+  ///                ({0,1,2} and {2,3,0}) the skip-victim-revalidation
+  ///                mutant explored clean through BP-Wrapper even at bound
+  ///                3. Here thread 1 takes page 1 and then page 0, the
+  ///                page thread 0 loaded first and may choose as the
+  ///                victim of its page-2 miss. The mutant is caught at
+  ///                bound 2 through BP-Wrapper and through the serialized
+  ///                coordinator, and the faithful tree is clean at bound 2
+  ///                for both over lru, fifo, clock, gclock and 2q. No
+  ///                two-thread trace of two or three ops per thread
+  ///                catches the mutant through BP-Wrapper at bound 1;
+  ///   "race"     — 2 threads, all-hit trace through the "bp-wrapper"
+  ///                coordinator (TryLock commits at the batch threshold;
+  ///                the stage for the commit-without-lock mutation);
   ///   "serial"   — 1 thread through the "bp-wrapper" coordinator with a
   ///                trace whose hit/miss pattern is sensitive to the
   ///                commit-before-victim rule; serial equivalence on.
   ///   "backpressure" — 3 fetchers over 2 frames with no eviction
-  ///                retries: one loads two pages and misses a third while
-  ///                the other two hit the first two, so a miss can find
+  ///                retries, through the "serialized" coordinator (its
+  ///                hitters must block on the policy lock): one loads two
+  ///                pages and misses a third while the other two hit the
+  ///                first two, so a miss can find
   ///                both frames pinned (or in flight, or mid-load) and
   ///                take the wait-for-unpin or single-flight wait. No
   ///                ResourceExhausted unless both frames are pinned, and

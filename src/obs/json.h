@@ -47,7 +47,12 @@ inline std::string JsonEscape(const std::string& s) {
 
 /// `"s"` with escaping.
 inline std::string JsonString(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
+  // Appended rather than `"\"" + JsonEscape(s) + "\""`: GCC 12 reports a
+  // false -Wrestrict on operator+(const char*, std::string&&).
+  std::string out = "\"";
+  out += JsonEscape(s);
+  out += '"';
+  return out;
 }
 
 /// Formats a double the way JSON expects: no NaN/Inf (emitted as 0), integral

@@ -1,10 +1,10 @@
 // Multiprocessor buffer-manager simulator (discrete-event).
 //
 // Why this exists: the paper's evaluation sweeps 1..16 *physical
-// processors* (SGI Altix 350, PowerEdge 1900). This reproduction host has
-// one core, and lock contention is a parallelism phenomenon — with a single
-// core a blocking lock is almost never observed held, because the holder
-// and the requester never run simultaneously. Per the substitution policy
+// processors* (SGI Altix 350, PowerEdge 1900). The host this reproduction
+// is run on has 4 vCPUs, so the 8- and 16-processor points cannot form on
+// it, and lock contention is a parallelism phenomenon: it needs the holder
+// and the requester to run at the same time. Per the substitution policy
 // (DESIGN.md §2) the missing hardware is simulated: N virtual processors
 // execute the workload in *simulated time*, with calibrated costs for the
 // non-critical-section work, the policy bookkeeping, processor-cache

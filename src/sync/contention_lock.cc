@@ -28,11 +28,6 @@ void ContentionLock::Lock() {
   // scheduler's lock model says the acquisition cannot block, so the real
   // mu_.lock() below never sleeps in the OS.
   BPW_SCHED_LOCK_WILL_ACQUIRE(this, "contention_lock.lock");
-  if (instr_ == LockInstrumentation::kNone) {
-    mu_.lock();
-    BPW_SCHED_LOCK_ACQUIRED(this, "contention_lock.lock");
-    return;
-  }
   const bool prof = ProfThisAcquisition(prof_site_);
   // Tracing and profiling need the acquisition timestamp even in kCounts
   // mode; 0 marks "not timed" so Unlock never emits a span with a stale
@@ -78,30 +73,26 @@ void ContentionLock::Lock() {
 bool ContentionLock::TryLock() {
   BPW_SCHEDULE_POINT_OBJ("contention_lock.try_lock", this);
   if (mu_.try_lock()) {
-    if (instr_ != LockInstrumentation::kNone) {
-      acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      const bool prof = ProfThisAcquisition(prof_site_);
-      const bool timed = instr_ == LockInstrumentation::kTiming ||
-                         obs::TraceEnabled() || prof;
-      lock_acquired_nanos_ = timed ? NowNanos() : 0;
-      // A successful TryLock is by definition uncontended; a failed one is
-      // not a contention (nobody blocks — the whole point of the paper's
-      // protocol), so the profiler only sees the success.
-      if (prof) obs::ProfRecordAcquire(prof_site_, false, 0);
-    }
+    acquisitions_.fetch_add(1, std::memory_order_relaxed);
+    const bool prof = ProfThisAcquisition(prof_site_);
+    const bool timed = instr_ == LockInstrumentation::kTiming ||
+                       obs::TraceEnabled() || prof;
+    lock_acquired_nanos_ = timed ? NowNanos() : 0;
+    // A successful TryLock is by definition uncontended; a failed one is
+    // not a contention (nobody blocks — the whole point of the paper's
+    // protocol), so the profiler only sees the success.
+    if (prof) obs::ProfRecordAcquire(prof_site_, false, 0);
     BPW_SCHED_LOCK_ACQUIRED(this, "contention_lock.try_lock");
     return true;
   }
-  if (instr_ != LockInstrumentation::kNone) {
-    trylock_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
+  trylock_failures_.fetch_add(1, std::memory_order_relaxed);
   BPW_SCHED_LOCK_TRY_FAILED(this, "contention_lock.try_lock");
   return false;
 }
 
 void ContentionLock::Unlock() {
   BPW_SCHEDULE_POINT_OBJ("contention_lock.unlock", this);
-  if (instr_ != LockInstrumentation::kNone && lock_acquired_nanos_ != 0) {
+  if (lock_acquired_nanos_ != 0) {
     const uint64_t start = lock_acquired_nanos_;
     const uint64_t now = NowNanos();
     if (instr_ == LockInstrumentation::kTiming) {

@@ -61,7 +61,6 @@ struct LockStats {
 
 /// Instrumentation level for a ContentionLock.
 enum class LockInstrumentation {
-  kNone,    ///< plain lock, no counters (fast path for production use)
   kCounts,  ///< count acquisitions / contentions / trylock failures
   kTiming,  ///< kCounts plus hold & wait nanoseconds (two clock reads)
 };
@@ -108,10 +107,9 @@ class BPW_CAPABILITY("mutex") ContentionLock {
   /// (obs/contention_profiler.h): pass a BPW_PROF_SITE(...) root-path id.
   /// Several locks may share one site — every partition's policy lock binds
   /// the same site and aggregates into one report row. Call at setup time,
-  /// before the lock sees concurrent traffic; recording additionally requires
-  /// instrumentation != kNone (kNone keeps its zero-accounting fast path).
-  /// Recording compiles out under -DBPW_PROF=0 (the binding itself is kept
-  /// so call sites need no conditional code).
+  /// before the lock sees concurrent traffic. Recording compiles out under
+  /// -DBPW_PROF=0 (the binding itself is kept so call sites need no
+  /// conditional code).
   void BindProfSite(obs::ProfSiteId site) { prof_site_ = site; }
 
  private:

@@ -150,7 +150,7 @@ TEST(ClockCoordinatorTest, ConcurrentHitsWithEvictions) {
 }
 
 TEST(CoordinatorFactoryTest, BuildsAllKinds) {
-  for (const char* kind : {"serialized", "bp-wrapper", "shared-queue"}) {
+  for (const char* kind : {"serialized", "bp-wrapper"}) {
     SystemConfig config;
     config.policy = "2q";
     config.coordinator = kind;
@@ -181,9 +181,9 @@ TEST(CoordinatorFactoryTest, UnknownCoordinatorRejected) {
 }
 
 TEST(CoordinatorFactoryTest, RetiredCoordinatorKindsRejected) {
-  // The flat-combining and sharded coordinators were deleted; their kind
-  // strings are unknown now, not aliases.
-  for (const char* kind : {"combining", "sharded"}) {
+  // The flat-combining, sharded and shared-queue coordinators were
+  // deleted; their kind strings are unknown now, not aliases.
+  for (const char* kind : {"combining", "sharded", "shared-queue"}) {
     SystemConfig config;
     config.coordinator = kind;
     auto coord = CreateCoordinator(config, 64);

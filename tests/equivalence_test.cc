@@ -206,32 +206,16 @@ TEST_P(EquivalenceTest, RandomTraceWithDropsLeavesIdenticalPolicyState) {
   batched.batch_threshold = 32;
   batched.prefetch = true;
 
-  SystemConfig shared_queue = batched;
-  shared_queue.coordinator = "shared-queue";
-  shared_queue.prefetch = false;  // shared-queue has no prefetch stage
-
   RandomRunResult base;
   RunRandomTraceInto(&base, serialized, seed, kPages, kFrames, kAccesses);
   RandomRunResult bat;
   RunRandomTraceInto(&bat, batched, seed, kPages, kFrames, kAccesses);
-  RandomRunResult shq;
-  RunRandomTraceInto(&shq, shared_queue, seed, kPages, kFrames, kAccesses);
 
   EXPECT_EQ(base.hit_sequence, bat.hit_sequence);
   EXPECT_EQ(base.drop_outcomes, bat.drop_outcomes)
       << "drop/invalidation outcomes diverged";
   EXPECT_EQ(base.drain_fingerprint, bat.drain_fingerprint)
       << "the policies ended the identical trace in different states";
-
-  // The §III-A shared-queue batcher changes only the commit path too: same
-  // outcomes and the identical final policy state, drops and partial-batch
-  // flushes included.
-  EXPECT_EQ(base.hit_sequence, shq.hit_sequence)
-      << "shared-queue diverged from serialized on hit/miss outcomes";
-  EXPECT_EQ(base.drop_outcomes, shq.drop_outcomes)
-      << "shared-queue diverged from serialized on drop outcomes";
-  EXPECT_EQ(base.drain_fingerprint, shq.drain_fingerprint)
-      << "shared-queue left the policy in a different state than serialized";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -80,7 +80,7 @@ TEST(LintTest, SeededAllocationInCriticalSectionIsFlagged) {
   // The Locked suffix makes the body a hold region once the class owns
   // the lock.
   const char* src = R"cpp(
-struct SharedQueue {
+struct Batcher {
   ContentionLock lock_;
   void CommitLocked() {
     std::vector<Entry> batch;

@@ -84,16 +84,18 @@ TEST(MutationRediscoveryTest, SkipVictimRevalidationCorruptsAPinnedFrame) {
 }
 
 TEST(MutationRediscoveryTest,
-     SkipVictimRevalidationBreaksIntegrityThroughTheQueue) {
-  // The same mutation through the SharedQueueCoordinator needs one more
-  // preemption (the queue lock's extra decision points consume the bound).
-  // It surfaces as the same direct symptom: the pinned frame is re-loaded
-  // with another page under its reader.
+     SkipVictimRevalidationCorruptsAPinnedFrameThroughBpWrapper) {
+  // The same mutation through the preset's own coordinator, the BP-Wrapper
+  // that pgBat and pgBatPre run, also within two preemptions: thread 1
+  // pins page 0 between thread 0's choice of it as the victim for page 2
+  // and the claim, and the skipped revalidation lets the I/O overwrite the
+  // pinned frame.
   auto preset = Scenario::Preset("eviction");
   ASSERT_TRUE(preset.ok());
   ScenarioConfig config = preset.value();
+  ASSERT_EQ(config.coordinator, "bp-wrapper");
   config.mutate_skip_victim_revalidation = true;
-  ExpectRediscovered(config, /*bound=*/3, ViolationKind::kInvariant,
+  ExpectRediscovered(config, /*bound=*/2, ViolationKind::kInvariant,
                      "foreign bytes");
 }
 
@@ -119,6 +121,7 @@ TEST(MutationRediscoveryTest, FaithfulTreeIsCleanWhereTheMutantsFail) {
   };
   const Case cases[] = {
       {"eviction", "serialized", 2},
+      {"eviction", nullptr, 2},
       {"serial", nullptr, 0},
   };
   CooperativeScheduler sched;

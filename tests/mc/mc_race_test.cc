@@ -1,6 +1,7 @@
 // Race-certifier acceptance: the clean tree certifies race-free over the
-// explored spaces, and a seeded GUARDED_BY-violating mutation (commit
-// without the queue lock) is caught as a vector-clock race.
+// explored spaces, and a seeded GUARDED_BY-violating mutation (a
+// BP-Wrapper commit without the policy lock) is caught as a vector-clock
+// race.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -43,10 +44,10 @@ TEST(RaceCertificationTest, CleanTreeCertifiesRaceFree) {
 }
 
 TEST(RaceCertificationTest, CommitWithoutLockIsCaughtAsARace) {
-  // The seeded mutation drains the hit queue without taking the queue
-  // lock, violating the GUARDED_BY contract on the policy. The certifier
-  // sees the unordered write pair on the policy's exclusive-access
-  // location within one preemption.
+  // The seeded mutation drains a thread's BP-Wrapper queue at the batch
+  // threshold without taking the policy lock, violating the policy's
+  // serialization contract. The certifier sees the unordered write pair on
+  // the policy's exclusive-access location within one preemption.
   auto preset = Scenario::Preset("race");
   ASSERT_TRUE(preset.ok());
   ScenarioConfig config = preset.value();

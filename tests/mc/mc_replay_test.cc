@@ -20,7 +20,7 @@ namespace {
 ReplayFile SampleReplay() {
   ReplayFile replay;
   replay.config.name = "custom";
-  replay.config.coordinator = "bp-wrapper";
+  replay.config.coordinator = "serialized";  // not the default
   replay.config.policy = "clock";
   replay.config.threads = 3;
   replay.config.pages = 5;

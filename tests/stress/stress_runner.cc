@@ -149,12 +149,6 @@ std::vector<StressConfig> DefaultStressMatrix() {
       c.batch_threshold = 4;
       matrix.push_back({"bp-wrapper+pre-s8/" + policy, c});
     }
-    {
-      SystemConfig c;
-      c.policy = policy;
-      c.coordinator = "shared-queue";
-      matrix.push_back({"shared-queue/" + policy, c});
-    }
   }
   for (const char* policy : {"clock", "gclock"}) {
     SystemConfig c;

@@ -121,16 +121,6 @@ TEST(ContentionLockTest, TimingInstrumentationRecordsWaitTime) {
   EXPECT_GE(lock.stats().wait_nanos, 1'000'000u);
 }
 
-TEST(ContentionLockTest, NoInstrumentationKeepsZeroStats) {
-  ContentionLock lock(LockInstrumentation::kNone);
-  lock.Lock();
-  lock.Unlock();
-  ExpectTryLockSucceedsAndRelease(lock);
-  LockStats s = lock.stats();
-  EXPECT_EQ(s.acquisitions, 0u);
-  EXPECT_EQ(s.hold_nanos, 0u);
-}
-
 TEST(ContentionLockTest, ResetStatsZeroesCounters) {
   ContentionLock lock;
   lock.Lock();

@@ -2,9 +2,9 @@
 //
 // Explore a scenario:
 //   bpw_modelcheck --scenario eviction --bound 2
-// Record and minimize a violation:
-//   bpw_modelcheck --scenario eviction --mutation skip_victim_revalidation \
-//       --bound 2 --replay-out eviction.replay
+// Record and minimize a violation (one command line):
+//   bpw_modelcheck --scenario eviction --bound 2
+//       --mutation skip_victim_revalidation --replay-out eviction.replay
 // Re-execute a recorded trace:
 //   bpw_modelcheck --replay eviction.replay
 //
@@ -38,8 +38,7 @@ void PrintUsage() {
       "exploration options:\n"
       "  --scenario NAME        preset scenario (see --list)\n"
       "  --bound N              preemption bound (default 2)\n"
-      "  --coordinator NAME     override: serialized|shared-queue|\n"
-      "                         bp-wrapper\n"
+      "  --coordinator NAME     override: serialized|bp-wrapper\n"
       "  --policy NAME          override: lru|fifo|clock|gclock|...\n"
       "  --threads N            override worker count\n"
       "  --pages N --frames N   override working set / buffer size\n"

@@ -83,8 +83,7 @@ void Usage() {
       "  --system=NAME        paper system (pgClock|pg2Q|pgPre|pgBat|\n"
       "                       pgBatPre)\n"
       "  --policy=NAME        replacement policy (default 2q); see below\n"
-      "  --coordinator=KIND   serialized | shared-queue | bp-wrapper |\n"
-      "                       clock-lockfree\n"
+      "  --coordinator=KIND   serialized | bp-wrapper | clock-lockfree\n"
       "  --prefetch           enable the paper's prefetch technique\n"
       "  --queue=N            BP-Wrapper queue size (default 64)\n"
       "  --threshold=N        BP-Wrapper batch threshold (default 32)\n"
