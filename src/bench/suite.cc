@@ -81,9 +81,13 @@ std::deque<BenchSuite> BuildBuiltinSuites() {
   }
 
   {
-    // The paper-figure trajectory: the five systems on the simulator at the
-    // Fig. 6 endpoints. Slower; run when touching the coordination paths,
-    // not on every CI push.
+    // The paper-figure trajectory, the one simulator counter gate (tier-1
+    // ctest bench_paper_baseline): the five systems at the Fig. 6/7
+    // operating points; pgBatPre's Fig. 6 tablescan endpoint at p16 and its
+    // scaling past the paper's largest machine, p64/p128 under the NUMA
+    // cost mode (2 nodes), where cross-node transfers punish every
+    // shared-line touch; and the lock-path duel at near-zero think time
+    // (pg2Q vs pgBatPre), where the ContentionLock is the whole story.
     BenchSuite paper;
     paper.name = "paper";
     paper.description = "five-system matrix at Fig. 6/7 operating points";
@@ -99,66 +103,24 @@ std::deque<BenchSuite> BuildBuiltinSuites() {
                  system.c_str(), 8, /*tx_per_proc=*/300,
                  /*access_work=*/1500));
     }
-    suites.push_back(std::move(paper));
-  }
-
-  {
-    // The Fig. 6 high-processor endpoint of the paper's best system,
-    // pgBatPre. Everything is simulator-deterministic, so bench_compare
-    // gates the lock-acquisition/contention counters exactly.
-    BenchSuite fig6;
-    fig6.name = "fig6";
-    fig6.description =
-        "Fig. 6 endpoint: pgBatPre lock counters at p4/p16";
-    for (uint32_t procs : {4u, 16u}) {
-      fig6.cases.push_back(SimDet(
-          "det.sim.dbt2.pgBatPre.p" + std::to_string(procs), "dbt2", 8192,
-          "pgBatPre", procs, /*tx_per_proc=*/400, /*access_work=*/3500));
-    }
-    fig6.cases.push_back(SimDet("det.sim.tablescan.pgBatPre.p16", "tablescan",
-                                2048, "pgBatPre", 16,
-                                /*tx_per_proc=*/300, /*access_work=*/1500));
-    suites.push_back(std::move(fig6));
-  }
-
-  {
-    // pgBatPre's scaling past the paper's largest machine: the Fig. 6
-    // p16 operating point, then p64/p128 under the NUMA cost mode (2
-    // nodes), where cross-node coherence transfers punish every shared-line
-    // touch. All deterministic; bench_compare gates the lock counters
-    // exactly.
-    BenchSuite fig8;
-    fig8.name = "fig8";
-    fig8.description = "pgBatPre scaling at p16 and NUMA p64/p128";
-    fig8.cases.push_back(SimDet("det.sim.dbt2.pgBatPre.p16", "dbt2", 8192,
-                                "pgBatPre", 16,
-                                /*tx_per_proc=*/400, /*access_work=*/3500));
+    paper.cases.push_back(SimDet("det.sim.tablescan.pgBatPre.p16",
+                                 "tablescan", 2048, "pgBatPre", 16,
+                                 /*tx_per_proc=*/300, /*access_work=*/1500));
     for (uint32_t procs : {64u, 128u}) {
       BenchCase numa = SimDet(
           "det.sim.dbt2.pgBatPre.p" + std::to_string(procs) + ".numa2",
           "dbt2", 8192, "pgBatPre", procs,
           /*tx_per_proc=*/200, /*access_work=*/3500);
       numa.sim_costs.numa_nodes = 2;
-      fig8.cases.push_back(std::move(numa));
+      paper.cases.push_back(std::move(numa));
     }
-    suites.push_back(std::move(fig8));
-  }
-
-  {
-    // Lock-path microscope: tiny non-critical work so the ContentionLock
-    // is the whole story, across the two coordination designs
-    // (serialized, batched TryLock). Deterministic.
-    BenchSuite micro_lock;
-    micro_lock.name = "micro_lock";
-    micro_lock.description =
-        "lock-path duel at near-zero think time: pg2Q vs pgBatPre";
     for (const char* system : {"pg2Q", "pgBatPre"}) {
-      micro_lock.cases.push_back(
+      paper.cases.push_back(
           SimDet(std::string("det.sim.tablescan.") + system + ".p16.hot",
                  "tablescan", 1024, system, 16,
                  /*tx_per_proc=*/300, /*access_work=*/500));
     }
-    suites.push_back(std::move(micro_lock));
+    suites.push_back(std::move(paper));
   }
 
   return suites;

@@ -253,7 +253,12 @@ bool BufferPool::Pinned(FrameId frame) const {
   return false;
 }
 
-bool BufferPool::TryClaim(FrameId frame) {
+bool BufferPool::Claimable(FrameId frame) const {
+  return frames_[frame].state.load(std::memory_order_acquire) == 0 &&
+         !Pinned(frame);
+}
+
+bool BufferPool::TryClaim(FrameId frame, bool& owe_wake) {
   uint32_t idle = 0;
   if (!frames_[frame].state.compare_exchange_strong(
           idle, kBusy, std::memory_order_seq_cst,
@@ -261,7 +266,8 @@ bool BufferPool::TryClaim(FrameId frame) {
     return false;
   }
   if (Pinned(frame)) {
-    ReleaseClaim(frame);
+    frames_[frame].state.fetch_and(~kBusy, std::memory_order_seq_cst);
+    if (!Pinned(frame)) owe_wake = true;
     return false;
   }
   return true;
@@ -270,6 +276,26 @@ bool BufferPool::TryClaim(FrameId frame) {
 void BufferPool::ReleaseClaim(FrameId frame) {
   frames_[frame].state.fetch_and(~kBusy, std::memory_order_seq_cst);
   if (!Pinned(frame)) FrameMayBeFree();
+}
+
+bool BufferPool::ClaimVictim(FrameId frame, VictimSearch& search) {
+  FrameMeta& meta = frames_[frame];
+  const bool mutant = config_.test_skip_victim_revalidation;
+  // The read-only pre-check: a frame visibly pinned or claimed costs no RMW
+  // and counts no race. The mutant skips it.
+  if (!mutant && !Claimable(frame)) return false;
+  // A pin can land between the check and the CAS; the claim's shard scan
+  // sees it then.
+  BPW_SCHEDULE_POINT_OBJ("pool.evict_claim", &meta.state);
+  if (mutant) {  // claims without looking at the pins
+    uint32_t idle = 0;
+    return meta.state.compare_exchange_strong(idle, kBusy,
+                                              std::memory_order_seq_cst,
+                                              std::memory_order_relaxed);
+  }
+  if (TryClaim(frame, search.owe_wake)) return true;
+  search.session->counters_.eviction_races.Add(1);
+  return false;
 }
 
 void BufferPool::PushFreeFrame(FrameId frame) {
@@ -383,14 +409,15 @@ void BufferPool::WakePendingWaiters() {
 
 FrameId BufferPool::AcquireFrame(Session& session, PageId incoming,
                                  int attempts) {
-  // Unclaimed and unpinned on every shard. The claim's own shard scan
-  // re-checks under kBusy; its loads acquire Unpin's release decrements, so
-  // the previous holders' frame accesses happen before our write-back or
-  // reuse of the frame bytes.
-  const Coordinator::EvictableFn evictable = [this](FrameId f) {
-    return frames_[f].state.load(std::memory_order_acquire) == 0 &&
-           !Pinned(f);
-  };
+  // The policy claims its victim as it chooses it, under its lock: a frame
+  // it returns is already ours (kBusy set, every shard at zero), so no pin
+  // can land between the choice and the claim. The claim's shard scan
+  // acquires Unpin's release decrements, so the previous holders' frame
+  // accesses happen before our write-back or reuse of the frame bytes.
+  VictimSearch search{&session};
+  const Coordinator::EvictableFn claim(
+      [this, &search](FrameId f) { return ClaimVictim(f, search); },
+      [this](FrameId f) { return Claimable(f); });
 
   for (int attempt = 1;; ++attempt) {
     // Fast path: an unused frame. The list is empty in steady state, and
@@ -407,8 +434,14 @@ FrameId BufferPool::AcquireFrame(Session& session, PageId incoming,
 
     BPW_PROF_PHASE("evict");
     BPW_SCHEDULE_POINT("pool.evict_select");
-    auto victim_or = coordinator_->ChooseVictim(session.slot_.get(),
-                                                evictable, incoming);
+    auto victim_or =
+        coordinator_->ChooseVictim(session.slot_.get(), claim, incoming);
+    // Claims given back during the search wake waiters here, outside the
+    // policy lock.
+    if (search.owe_wake) {
+      search.owe_wake = false;
+      FrameMayBeFree();
+    }
     if (!victim_or.ok()) {
       if (attempt >= attempts) return kInvalidFrameId;
       // Everything evictable was pinned at sweep time; give pin holders a
@@ -418,37 +451,7 @@ FrameId BufferPool::AcquireFrame(Session& session, PageId incoming,
     }
     const Coordinator::Victim victim = victim_or.value();
     FrameMeta& meta = frames_[victim.frame];
-
-    // The classic race window: between the policy detaching the victim and
-    // our claim, another thread can pin it. The claim's shard scan fails
-    // then, and once the claim succeeds no new pin can stay (TryPin backs
-    // off from kBusy).
-    BPW_SCHEDULE_POINT_OBJ("pool.evict_claim", &meta.state);
-    bool claimed = true;
-    if (config_.test_skip_victim_revalidation) {
-      meta.state.fetch_or(kBusy, std::memory_order_acquire);
-    } else if (!TryClaim(victim.frame)) {
-      claimed = false;
-    } else if (FrameTag(victim.frame) != victim.page) {
-      ReleaseClaim(victim.frame);
-      claimed = false;
-    }
-    if (!claimed) {
-      session.counters_.eviction_races.Add(1);
-      // The policy already detached the page but someone pinned it between
-      // selection and the claim. Re-register it so policy and pool agree,
-      // then retry.
-      if (FrameTag(victim.frame) == victim.page) {
-        coordinator_->CompleteMiss(session.slot_.get(), victim.page,
-                                   victim.frame);
-      }
-      if (attempt >= attempts) return kInvalidFrameId;
-      // Let the racing pinner (or an aborting drop) release the frame
-      // before burning another attempt.
-      BPW_SCHEDULE_YIELD("pool.evict_race_retry");
-      continue;
-    }
-    // kBusy blocks new pins while we drain the frame.
+    // We hold the claim, so kBusy blocks new pins while we drain the frame.
     const bool dirty = meta.dirty.exchange(false, std::memory_order_relaxed);
 
     if (dirty) {
@@ -618,7 +621,9 @@ Status BufferPool::DropPage(Session& session, PageId page) {
     return Status::FailedPrecondition("page is mid-load");
   }
   FrameMeta& meta = frames_[frame];
-  if (!TryClaim(frame)) {
+  bool owe_wake = false;
+  if (!TryClaim(frame, owe_wake)) {
+    if (owe_wake) FrameMayBeFree();
     return Status::FailedPrecondition(
         meta.state.load(std::memory_order_relaxed) != 0 ? "page is mid-I/O"
                                                         : "page is pinned");
@@ -635,19 +640,11 @@ Status BufferPool::DropPage(Session& session, PageId page) {
     return Status::FailedPrecondition("page is pinned");
   }
 
-  // The policy erase is the commit point, and it must come first: OnErase is
-  // a test-and-erase, and a `false` answer means an evictor already detached
-  // this page via ChooseVictim and is on its way to the frame. Dropping the
-  // mapping anyway would let the page be reloaded while that evictor still
-  // holds a stale (page, frame) claim — it would then evict the fresh copy
-  // behind the policy's back or re-register a duplicate (ABA). Back off and
-  // let the eviction win; the caller sees the same "try again" status as for
-  // a pinned page.
+  // The page is still registered: an evictor claims its frame before the
+  // policy detaches the page and holds the claim until the unmap, and we
+  // hold the claim now.
   BPW_SCHEDULE_POINT("pool.drop_erase");
-  if (!coordinator_->OnErase(session.slot_.get(), page, frame)) {
-    ReleaseClaim(frame);
-    return Status::FailedPrecondition("page is being evicted");
-  }
+  coordinator_->OnErase(session.slot_.get(), page, frame);
 
   table_.Erase(page, frame);
   frame_tags_[frame].store(kInvalidPageId, std::memory_order_release);

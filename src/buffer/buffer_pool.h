@@ -18,6 +18,12 @@
 //     CASing it from 0 to kBusy and then finding every shard's count at
 //     zero. Pin and claim are each a seq_cst RMW followed by a seq_cst load
 //     of the other side's word, so a pin and a claim never both succeed.
+//   - An evictor claims its victim inside the policy's victim search, under
+//     the policy lock (the EvictableFn the pool passes is the claim), and
+//     holds the claim until the frame is unmapped. So no pin lands between
+//     the choice and the claim, the policy never sees a victim come back,
+//     and a DropPage that holds a frame's claim always finds its page still
+//     registered with the policy.
 //   - Frame bytes live in one anonymous mapping, 2 MiB-aligned and advised
 //     for transparent huge pages (FrameArena), so a large pool spans few
 //     TLB entries and is not zero-filled up front.
@@ -117,12 +123,12 @@ struct BufferPoolConfig {
   /// that finds nothing evictable checks for a full pool and, if some frame
   /// is unpinned, waits for an unpin instead of spinning.
   int eviction_retries = 64;
-  /// MUTATION KNOB — tests only. Skips the eviction-time re-validation that
-  /// a chosen victim is still unpinned and still holds the selected page:
-  /// the claim sets kBusy without scanning the pin shards.
-  /// This deliberately re-introduces the race the re-validation exists to
-  /// close, so the stress harness's mutation self-test can prove it detects
-  /// the resulting corruption (tests/stress/mutation_test.cc).
+  /// MUTATION KNOB — tests only. Makes the victim claim ignore pins: it
+  /// skips the read-only pre-check and the pin-shard scan, and CASes kBusy
+  /// onto a frame a reader may hold pinned. This deliberately lets an
+  /// eviction overwrite a pinned page, so the stress harness's and the
+  /// model checker's mutation self-tests can prove they detect the
+  /// resulting corruption (tests/stress/mutation_test.cc).
   bool test_skip_victim_revalidation = false;
 };
 
@@ -227,8 +233,10 @@ class BufferPool {
   uint64_t evictions() const { return Totals().evictions; }
   /// Eviction write-backs plus FlushAll's.
   uint64_t writebacks() const { return Totals().writebacks; }
-  /// Times a chosen victim had to be re-registered because it was pinned
-  /// between selection and the claim CAS (rare race; see AcquireFrame).
+  /// Victim claims that a concurrent pin beat: the pre-check found the
+  /// frame unpinned, and the claim's shard scan then found a pin (or a
+  /// drop's or flush's claim came first). The policy moves on to its next
+  /// candidate.
   uint64_t eviction_races() const { return Totals().eviction_races; }
   /// Write-backs whose storage write failed (the page's last version is
   /// reported lost; with fault injection every lost update must be covered
@@ -322,14 +330,30 @@ class BufferPool {
 
   void Unpin(FrameId frame, uint32_t shard);
 
+  /// Unclaimed and unpinned on every shard: the read-only probe a claim
+  /// starts with.
+  bool Claimable(FrameId frame) const;
   /// One CAS of the claim word from 0 to kBusy, then a scan that finds
   /// every shard's pin count at zero: the exclusive claim eviction and
-  /// DropPage take. Single-shot by design — a failed claim is the caller's
-  /// race path, never a spin.
-  bool TryClaim(FrameId frame);
-  /// Clears kBusy. Pins taken meanwhile (a loader's publish pin, a stale
-  /// pinner's transient one) live in the shards and are untouched.
+  /// DropPage take. Single-shot by design, never a spin. A claim that finds
+  /// a pin is given back at once; if the frame then reads unpinned,
+  /// `owe_wake` is set and the caller must call FrameMayBeFree().
+  bool TryClaim(FrameId frame, bool& owe_wake);
+  /// Clears kBusy, and wakes waiters if the frame is unpinned. Pins taken
+  /// meanwhile (a loader's publish pin, a stale pinner's transient one)
+  /// live in the shards and are untouched.
   void ReleaseClaim(FrameId frame);
+
+  /// One victim search: the session it counts races in, and whether a
+  /// given-back claim owes the waiters a wake once the policy lock is
+  /// released.
+  struct VictimSearch {
+    Session* session;
+    bool owe_wake = false;
+  };
+  /// The victim claim the policy calls under its lock: Claimable, then
+  /// TryClaim. A claim lost to a concurrent pin counts an eviction race.
+  bool ClaimVictim(FrameId frame, VictimSearch& search);
 
   /// Obtains a clean, unmapped frame: from the free list, or by evicting.
   /// Returns kInvalidFrameId when `attempts` victim selections all failed.

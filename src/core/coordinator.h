@@ -68,7 +68,9 @@ class Coordinator {
   virtual void OnHit(ThreadSlot* slot, PageId page, FrameId frame) = 0;
 
   /// Miss path, phase 1: select and detach a victim. `incoming` is the
-  /// page being faulted in.
+  /// page being faulted in. `evictable` is called under the policy lock and
+  /// is the caller's claim (see ReplacementPolicy::EvictableFn): the frame
+  /// returned is the one frame it claimed.
   virtual StatusOr<Victim> ChooseVictim(ThreadSlot* slot,
                                         const EvictableFn& evictable,
                                         PageId incoming) = 0;
@@ -79,10 +81,9 @@ class Coordinator {
 
   /// Forced removal (invalidation / drop). Test-and-erase: the page is
   /// removed only if the policy still has it resident, and the return value
-  /// says whether it did. `false` means an in-flight eviction has already
-  /// detached the page (ChooseVictim ran, the evictor has not finished) —
-  /// the caller must back off and let the evictor decide the frame's fate,
-  /// or the two removals race and policy/pool bookkeeping diverge.
+  /// says whether it did. The buffer pool calls it holding the frame's
+  /// claim, and an evictor claims a frame before its page is detached, so
+  /// from the pool the answer is always true.
   virtual bool OnErase(ThreadSlot* slot, PageId page, FrameId frame) = 0;
 
   /// Commits any state buffered in this thread's slot (BP-Wrapper queue).

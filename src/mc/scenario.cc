@@ -163,8 +163,8 @@ StatusOr<ScenarioConfig> Scenario::Preset(const std::string& name) {
   config.name = name;
   if (name == "eviction") {
     // The acceptance scenario: 2 threads, 2 frames, BP-Wrapper with batch
-    // threshold 2. Constant eviction pressure; every miss path and the
-    // victim-revalidation window are exercised. scenario.h says why the
+    // threshold 2. Constant eviction pressure; every miss path and a pin
+    // racing the victim claim are exercised. scenario.h says why the
     // traces are chosen rather than generated.
     config.thread_traces = {{0, 1, 2}, {1, 0}};
     return config;

@@ -13,7 +13,8 @@
 //      decision budget);
 //   2. worker-observed failures: FetchPage errors and stamp mismatches (a
 //      handle whose bytes belong to a different page — the corruption the
-//      victim-revalidation mutation re-introduces). ResourceExhausted is an
+//      skip-victim-revalidation mutation, a victim claim that ignores pins,
+//      produces). ResourceExhausted is an
 //      error only while some frame is unpinned: a pool whose every frame
 //      is pinned is genuinely full;
 //   3. post-run structural integrity (BufferPool::CheckIntegrity);
@@ -107,15 +108,16 @@ class Scenario {
   ///   "eviction" — 2 threads contending for 2 frames through the
   ///                "bp-wrapper" coordinator (the acceptance scenario), on
   ///                the traces {0,1,2} and {1,0}. They are chosen, not
-  ///                generated, so that BP-Wrapper reaches a victim's
-  ///                select->claim window: a hit below the batch threshold
+  ///                generated, so that a reader's pin meets a victim claim:
+  ///                the claim runs inside the policy's victim search,
+  ///                with pool.evict_claim between its read-only pre-check
+  ///                and its CAS, and a hit below the batch threshold
   ///                passes no schedule point between its pin and the
-  ///                worker's stamp check, and on the generated traces
-  ///                ({0,1,2} and {2,3,0}) the skip-victim-revalidation
-  ///                mutant explored clean through BP-Wrapper even at bound
-  ///                3. Here thread 1 takes page 1 and then page 0, the
-  ///                page thread 0 loaded first and may choose as the
-  ///                victim of its page-2 miss. The mutant is caught at
+  ///                worker's stamp check. Thread 1 takes page 1 and then
+  ///                page 0, the page thread 0 loaded first and may choose
+  ///                as the victim of its page-2 miss. The
+  ///                skip-victim-revalidation mutant (a claim that ignores
+  ///                pins) is caught at
   ///                bound 2 through BP-Wrapper and through the serialized
   ///                coordinator, and the faithful tree is clean at bound 2
   ///                for both over lru, fifo, clock, gclock and 2q. No

@@ -44,11 +44,13 @@ StatusOr<ReplacementPolicy::Victim> ClockPolicy::ChooseVictim(
     const auto frame = static_cast<FrameId>(hand_);
     hand_ = (hand_ + 1) % nodes_.size();
     if (!node.resident.load(std::memory_order_relaxed)) continue;
-    if (!evictable(frame)) continue;
+    // A pinned frame keeps its bit: the hand ages only unpinned frames.
+    if (!evictable.Unpinned(frame)) continue;
     if (step < last_sweep && node.ref.load(std::memory_order_relaxed)) {
       node.ref.store(false, std::memory_order_relaxed);  // second chance
       continue;
     }
+    if (!evictable(frame)) continue;  // the claim; a lost one moves on
     node.resident.store(false, std::memory_order_relaxed);
     --resident_;
     SetPrefetchTarget(frame, nullptr);

@@ -50,12 +50,14 @@ StatusOr<ReplacementPolicy::Victim> GClockPolicy::ChooseVictim(
     const auto frame = static_cast<FrameId>(hand_);
     hand_ = (hand_ + 1) % nodes_.size();
     if (!node.resident.load(std::memory_order_relaxed)) continue;
-    if (!evictable(frame)) continue;
+    // A pinned frame keeps its count: the hand ages only unpinned frames.
+    if (!evictable.Unpinned(frame)) continue;
     uint32_t c = node.count.load(std::memory_order_relaxed);
     if (step < last_sweep && c > 0) {
       node.count.store(c - 1, std::memory_order_relaxed);
       continue;
     }
+    if (!evictable(frame)) continue;  // the claim; a lost one moves on
     node.resident.store(false, std::memory_order_relaxed);
     --resident_;
     SetPrefetchTarget(frame, nullptr);

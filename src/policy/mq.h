@@ -33,8 +33,8 @@ class MqPolicy : public ReplacementPolicy {
   void OnMiss(PageId page, FrameId frame) override BPW_REQUIRES(this);
   StatusOr<Victim> ChooseVictim(const EvictableFn& evictable,
                                 PageId incoming) override BPW_REQUIRES(this)
-      BPW_HOLD_EFFECT_OK(indirect, "evictable is the pool pin check: it "
-                                   "reads frame state and never blocks");
+      BPW_HOLD_EFFECT_OK(indirect, "evictable is the pool's victim claim: "
+                                   "one CAS plus a shard scan, never blocks");
   void OnErase(PageId page, FrameId frame) override BPW_REQUIRES(this);
   Status CheckInvariants() const override BPW_REQUIRES_SHARED(this);
   size_t resident_count() const override BPW_REQUIRES_SHARED(this) {

@@ -40,6 +40,8 @@
 #include <atomic>
 #include <functional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "testing/schedule_point.h"
@@ -57,9 +59,38 @@ class BPW_CAPABILITY("policy") ReplacementPolicy {
     FrameId frame = kInvalidFrameId;
   };
 
-  /// Predicate: may the page in this frame be evicted right now? (The
-  /// buffer pool answers false for pinned or I/O-busy frames.)
-  using EvictableFn = std::function<bool(FrameId)>;
+  /// The caller's victim test. Calling it is the claim: a `true` answer
+  /// means `frame` is now the caller's (the buffer pool has marked it busy
+  /// and found it unpinned, so no pin can land on it), and ChooseVictim
+  /// must return that frame without calling the claim again. `false`
+  /// (pinned, busy, or lost to a concurrent pin) leaves the frame as it
+  /// was. Unpinned() is a read-only probe with no side effect, for a policy
+  /// that ages a frame before it decides: CLOCK and GCLOCK age only
+  /// unpinned frames, as PostgreSQL's clock sweep does. A single predicate
+  /// serves as both (tests, the simulator).
+  class EvictableFn {
+   public:
+    using Predicate = std::function<bool(FrameId)>;
+
+    /// Implicit, so a plain lambda passes where a victim test is expected.
+    template <typename F>
+      requires std::is_invocable_r_v<bool, F&, FrameId> &&
+               (!std::is_same_v<std::decay_t<F>, EvictableFn>)
+    EvictableFn(F predicate) : claim_(std::move(predicate)) {}
+    EvictableFn(Predicate claim, Predicate unpinned)
+        : claim_(std::move(claim)), unpinned_(std::move(unpinned)) {}
+
+    /// The claim.
+    bool operator()(FrameId frame) const { return claim_(frame); }
+    /// The probe: would the claim find `frame` unpinned and unclaimed now?
+    bool Unpinned(FrameId frame) const {
+      return unpinned_ ? unpinned_(frame) : claim_(frame);
+    }
+
+   private:
+    Predicate claim_;
+    Predicate unpinned_;  // empty: the claim is a pure predicate
+  };
 
   /// @param num_frames buffer capacity in frames; the policy will never
   ///        track more resident pages than this.
@@ -82,6 +113,9 @@ class BPW_CAPABILITY("policy") ReplacementPolicy {
   /// resident bookkeeping (possibly moving it to ghost history), and
   /// returns it. `incoming` is the page whose miss triggered the eviction
   /// (ARC/CAR consult their ghost lists for it; others ignore it).
+  /// Calls `evictable` only on a frame it will return if the answer is
+  /// true, so it claims at most one frame, the victim; a policy that ages
+  /// candidates probes them with `evictable.Unpinned` first.
   /// Returns NoEvictableFrame() if no frame passes `evictable`.
   virtual StatusOr<Victim> ChooseVictim(const EvictableFn& evictable,
                                         PageId incoming)

@@ -71,8 +71,8 @@ class TwoQPolicy : public ReplacementPolicy {
   /// (oldest). Returns nullptr if none qualifies.
   Node* TakeVictimFrom(IntrusiveList<Node, &Node::link>& list,
                        const EvictableFn& evictable)
-      BPW_HOLD_EFFECT_OK(indirect, "evictable is the pool pin check: it "
-                                   "reads frame state and never blocks");
+      BPW_HOLD_EFFECT_OK(indirect, "evictable is the pool's victim claim: "
+                                   "one CAS plus a shard scan, never blocks");
 
   /// Pushes `page` onto the A1out ghost list, trimming it to kout_.
   void AddGhost(PageId page)

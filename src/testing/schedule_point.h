@@ -6,7 +6,7 @@
 // is only correct if it survives adversarial interleavings — the exact
 // schedules a TSan-ed loop on a lightly loaded machine rarely produces. A
 // BPW_SCHEDULE_POINT(name) is placed at every racy window in the library
-// (lock acquisition, the eviction select→claim gap, pin/publish paths).
+// (lock acquisition, a victim claim's pre-check→CAS gap, pin/publish paths).
 // Normally it costs one relaxed atomic load and a predicted branch; when a
 // ScheduleController is installed, each point calls into the controller's
 // virtual hook set. Two controller families implement the hooks:

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "core/bp_wrapper.h"
 #include "core/coordinator_factory.h"
+#include "policy/two_q.h"
 #include "testing/schedule_point.h"
 #include "util/random.h"
 
@@ -550,37 +552,122 @@ TEST(PinProtocolTest, PinOnAnyShardFailsClaimAndDropAndLeavesClaimClear) {
         << "failed drop left the frame claimed: "
         << pool.CheckIntegrity().ToString();
 
-    // An eviction claim against a pin that lands after victim selection.
+    // An eviction claim against a pin that lands after the claim's
+    // pre-check found frame 0 unpinned. The evictor parks there, inside the
+    // policy lock; the pinner parks after its pin, before its hit needs
+    // that lock. Then the claim's CAS and shard scan run.
     ASSERT_TRUE(pool.FetchPage(*evictor_session, 3).ok());  // page 1 is LRU
+    const uint64_t locks_before =
+        pool.coordinator().lock_stats().acquisitions;
     PointGate gate;
-    gate.StopAt("pool.evict_claim");
+    gate.StopAt("pool.evict_claim", /*id=*/0);
+    gate.StopAt("pool.pin_validate", /*id=*/1);
     FrameId evictor_frame = kInvalidFrameId;
     bool evictor_bytes = false;
     std::thread evictor([&] {
-      PointGate::Gate();
+      PointGate::Gate(0);
       auto handle = pool.FetchPage(*evictor_session, 2);
       if (handle.ok()) {
         evictor_frame = handle.value().frame();
         evictor_bytes = HoldsPage(handle.value(), 2);
       }
-      gate.Finish();
+      gate.Finish(0);
     });
-    ASSERT_TRUE(gate.WaitParked());  // page 1 (frame 0) chosen, unclaimed
-    auto pinned = pool.FetchPage(pinner, 1);
-    ASSERT_TRUE(pinned.ok());
-    ASSERT_EQ(pinned.value().frame(), 0u);
-    gate.Resume(nullptr);
+    ASSERT_TRUE(gate.WaitParked(0));  // frame 0 pre-checked, unclaimed
+    StatusOr<PageHandle> pinned = Status::Internal("not fetched");
+    std::thread pin_thread([&] {
+      PointGate::Gate(1);
+      pinned = pool.FetchPage(pinner, 1);
+      gate.Finish(1);
+    });
+    ASSERT_TRUE(gate.WaitParked(1));  // frame 0 pinned on `shard`
+    gate.Resume(nullptr, 0);
     evictor.join();
+    gate.Resume(nullptr, 1);
+    pin_thread.join();
 
     EXPECT_EQ(pool.eviction_races(), 1u);
     EXPECT_EQ(evictor_frame, 1u) << "the evictor took the pinned frame";
     EXPECT_TRUE(evictor_bytes);
+    ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+    EXPECT_EQ(pinned.value().frame(), 0u);
     EXPECT_TRUE(HoldsPage(pinned.value(), 1))
         << "a pinned page's bytes were replaced";
+    EXPECT_EQ(pinner.stats().hits, 2u);
+    EXPECT_EQ(pinner.stats().misses, 0u);
+    // One victim search, one registration (page 2) and the pinner's hit:
+    // page 1 was never detached, so nothing re-registered it.
+    EXPECT_EQ(pool.coordinator().lock_stats().acquisitions - locks_before,
+              3u);
+    {
+      const ReplacementPolicy& policy = pool.coordinator().policy();
+      policy.AssertExclusiveAccess();
+      EXPECT_TRUE(policy.IsResident(1));
+      EXPECT_TRUE(policy.IsResident(2));
+      EXPECT_FALSE(policy.IsResident(3));
+      EXPECT_EQ(policy.resident_count(), 2u);
+    }
     pinned.value().Release();
     EXPECT_TRUE(pool.CheckIntegrity().ok())
         << pool.CheckIntegrity().ToString();
   }
+}
+
+TEST(PinProtocolTest, PinThatBeatsTheVictimClaimLeavesTwoQHistoryAlone) {
+  // 2Q (kin 1, kout 4) over 4 frames under BP-Wrapper: the miss on page 4
+  // takes its victim from A1in, oldest first. A reader pins page 0 after
+  // the claim's pre-check found it unpinned and before the CAS; its hit is
+  // queued, so it takes no lock. The claim's scan sees the pin and the
+  // search moves on to page 1. Page 0 must stay in A1in. Fails where the
+  // policy detaches the victim before the pool claims it: the lost claim
+  // then re-registers page 0, 2Q finds it on the A1out ghost list and
+  // promotes it to Am, a re-fault that no access made.
+  StorageEngine storage(8, kPageSize);
+  auto policy = std::make_unique<TwoQPolicy>(
+      4, TwoQPolicy::Params{.kin = 1, .kout = 4});
+  const TwoQPolicy& two_q = *policy;
+  BufferPoolConfig config;
+  config.num_frames = 4;
+  config.page_size = kPageSize;
+  BufferPool pool(config, &storage,
+                  std::make_unique<BpWrapperCoordinator>(std::move(policy)));
+  auto loader = pool.CreateSession();
+  auto reader = pool.CreateSession();
+  for (PageId page = 0; page < 4; ++page) {
+    ASSERT_TRUE(pool.FetchPage(*loader, page).ok());  // frame == page
+  }
+
+  PointGate gate;
+  gate.StopAt("pool.evict_claim");
+  FrameId evictor_frame = kInvalidFrameId;
+  std::thread evictor([&] {
+    PointGate::Gate();
+    auto handle = pool.FetchPage(*loader, 4);
+    if (handle.ok() && HoldsPage(handle.value(), 4)) {
+      evictor_frame = handle.value().frame();
+    }
+    gate.Finish();
+  });
+  ASSERT_TRUE(gate.WaitParked());  // page 0 (frame 0) pre-checked
+  auto pinned = pool.FetchPage(*reader, 0);
+  ASSERT_TRUE(pinned.ok());
+  gate.Resume(nullptr);
+  evictor.join();
+
+  EXPECT_EQ(evictor_frame, 1u);
+  EXPECT_EQ(pool.eviction_races(), 1u);
+  EXPECT_EQ(pinned.value().frame(), 0u);
+  EXPECT_TRUE(HoldsPage(pinned.value(), 0));
+  two_q.AssertExclusiveAccess();
+  EXPECT_TRUE(two_q.IsResident(0));
+  EXPECT_FALSE(two_q.IsResident(1));
+  EXPECT_EQ(two_q.am_size(), 0u) << "page 0 was promoted by a re-fault";
+  EXPECT_EQ(two_q.a1in_size(), 4u);
+  EXPECT_EQ(two_q.a1out_size(), 1u);
+  pinned.value().Release();
+  pool.FlushSession(*reader);
+  EXPECT_EQ(two_q.am_size(), 0u);
+  EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
 }
 
 TEST(PinProtocolTest, PinnerParkedBeforeItsPinBacksOffFromALandedClaim) {

@@ -123,22 +123,67 @@ TEST(ClockTest, ConcurrentLockFreeHitsDuringSweep) {
 }
 
 TEST(ClockTest, LastSweepIgnoresRefBitsReSetByConcurrentHits) {
-  // The evictable callback stands in for a concurrent lock-free hitter that
+  // The unpinned probe stands in for a concurrent lock-free hitter that
   // re-sets each frame's bit just before the hand reads it, so no sweep
-  // ever sees ref == 0. Every frame is evictable; the hand must still
-  // return one instead of ResourceExhausted.
+  // ever sees ref == 0. Every claim succeeds; the hand must still return a
+  // frame instead of ResourceExhausted.
   ClockPolicy clock(4);
   clock.AssertExclusiveAccess();
   for (PageId p = 0; p < 4; ++p) clock.OnMiss(p, static_cast<FrameId>(p));
+  int claims = 0;
   auto v = clock.ChooseVictim(
-      [&clock](FrameId frame) {
-        clock.OnHitLockFree(static_cast<PageId>(frame), frame);
-        return true;
-      },
+      ReplacementPolicy::EvictableFn(
+          [&claims](FrameId) { return ++claims > 0; },
+          [&clock](FrameId frame) {
+            clock.OnHitLockFree(static_cast<PageId>(frame), frame);
+            return true;
+          }),
       100);
   ASSERT_TRUE(v.ok()) << v.status().ToString();
   EXPECT_EQ(v->frame, 0u) << "the third sweep starts where the hand began";
+  EXPECT_EQ(claims, 1) << "a frame was claimed and then passed over";
   EXPECT_EQ(clock.resident_count(), 3u);
+}
+
+TEST(ClockTest, PinnedFrameKeepsItsBitAcrossASweep) {
+  // Frame 0 reads pinned through a whole victim search: the hand must pass
+  // it without clearing its bit (PostgreSQL's sweep ages only unpinned
+  // buffers) and claim only the frame it returns.
+  ClockPolicy clock(2);
+  clock.AssertExclusiveAccess();
+  clock.OnMiss(0, 0);
+  clock.OnMiss(1, 1);
+  std::vector<FrameId> claimed;
+  auto v = clock.ChooseVictim(
+      ReplacementPolicy::EvictableFn(
+          [&claimed](FrameId frame) {
+            claimed.push_back(frame);
+            return true;
+          },
+          [](FrameId frame) { return frame != 0; }),
+      100);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->frame, 1u);
+  EXPECT_EQ(claimed, std::vector<FrameId>{1});
+
+  // Frame 0 still has its bit: the next sweep clears it, passes the
+  // reloaded frame 1 (clearing its fresh bit too), and takes frame 0 on
+  // the way round.
+  clock.OnMiss(2, 1);
+  std::vector<FrameId> probed;
+  v = clock.ChooseVictim(
+      ReplacementPolicy::EvictableFn(
+          [](FrameId) { return true; },
+          [&probed](FrameId frame) {
+            probed.push_back(frame);
+            return true;
+          }),
+      101);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->page, 0u);
+  EXPECT_EQ(probed, (std::vector<FrameId>{0, 1, 0}))
+      << "frame 0 lost its bit while pinned";
+  EXPECT_TRUE(clock.CheckInvariants().ok());
 }
 
 TEST(GClockTest, CounterSaturatesAtCap) {
@@ -175,20 +220,57 @@ TEST(GClockTest, EvictionDecrementsUntilZero) {
 }
 
 TEST(GClockTest, LastSweepIgnoresCountsRaisedByConcurrentHits) {
-  // As for CLOCK: a hit before every inspection keeps each count at the
-  // cap, so no count ever reaches zero, yet every frame is evictable.
+  // As for CLOCK: a hit before every probe keeps each count at the cap, so
+  // no count ever reaches zero, yet every claim succeeds.
   GClockPolicy gclock(4, /*max_count=*/3);
   gclock.AssertExclusiveAccess();
   for (PageId p = 0; p < 4; ++p) gclock.OnMiss(p, static_cast<FrameId>(p));
+  int claims = 0;
   auto v = gclock.ChooseVictim(
-      [&gclock](FrameId frame) {
-        gclock.OnHitLockFree(static_cast<PageId>(frame), frame);
-        return true;
-      },
+      ReplacementPolicy::EvictableFn(
+          [&claims](FrameId) { return ++claims > 0; },
+          [&gclock](FrameId frame) {
+            gclock.OnHitLockFree(static_cast<PageId>(frame), frame);
+            return true;
+          }),
       100);
   ASSERT_TRUE(v.ok()) << v.status().ToString();
   EXPECT_EQ(v->frame, 0u);
+  EXPECT_EQ(claims, 1) << "a frame was claimed and then passed over";
   EXPECT_EQ(gclock.resident_count(), 3u);
+}
+
+TEST(GClockTest, PinnedFrameKeepsItsCountAcrossASweep) {
+  // Frame 0 (count 3) reads pinned through a whole victim search that ages
+  // frame 1 to zero and takes it: frame 0 must keep its count, and only the
+  // returned frame is claimed.
+  GClockPolicy gclock(2, /*max_count=*/3);
+  gclock.AssertExclusiveAccess();
+  gclock.OnMiss(0, 0);
+  gclock.OnMiss(1, 1);
+  gclock.OnHitLockFree(0, 0);
+  gclock.OnHitLockFree(0, 0);  // count 3
+  std::vector<FrameId> claimed;
+  auto v = gclock.ChooseVictim(
+      ReplacementPolicy::EvictableFn(
+          [&claimed](FrameId frame) {
+            claimed.push_back(frame);
+            return true;
+          },
+          [](FrameId frame) { return frame != 0; }),
+      100);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->frame, 1u);
+  EXPECT_EQ(claimed, std::vector<FrameId>{1});
+
+  // Page 2 loads into frame 1 with count 1. Frame 0 still counts 3, so the
+  // next search, with nothing pinned, takes page 2 first.
+  gclock.OnMiss(2, 1);
+  v = gclock.ChooseVictim(All(), 101);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->page, 2u) << "frame 0 lost its count while pinned";
+  EXPECT_TRUE(gclock.IsResident(0));
+  EXPECT_TRUE(gclock.CheckInvariants().ok());
 }
 
 }  // namespace

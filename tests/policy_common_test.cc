@@ -255,6 +255,52 @@ TEST_P(PolicyTest, EvictableFilterIsHonoured) {
   EXPECT_EQ(policy->resident_count(), pin_limit);
 }
 
+TEST_P(PolicyTest, ChooseVictimReturnsTheOneFrameItClaimed) {
+  // The pool's victim test is its claim: a `true` answer hands the frame to
+  // the caller. ChooseVictim must return exactly that frame, ask nothing
+  // after it, and leave every frame whose claim was refused resident (a
+  // refused claim is a pin that landed after the probe).
+  for (size_t refuse = 0; refuse < 4; ++refuse) {
+    SCOPED_TRACE("claims refused: " + std::to_string(refuse));
+    auto policy = MakePolicy();
+    policy->AssertExclusiveAccess();
+    for (PageId p = 0; p < kFrames; ++p) {
+      policy->OnMiss(p, static_cast<FrameId>(p));
+    }
+    for (PageId p = 0; p < kFrames; p += 3) {
+      policy->OnHit(p, static_cast<FrameId>(p));
+    }
+    std::vector<FrameId> refused;
+    std::vector<FrameId> granted;
+    const ReplacementPolicy::EvictableFn claim(
+        [&](FrameId frame) {
+          if (!granted.empty()) {
+            granted.push_back(frame);  // asked again after a grant
+            return true;
+          }
+          if (refused.size() < refuse) {
+            refused.push_back(frame);
+            return false;
+          }
+          granted.push_back(frame);
+          return true;
+        },
+        [](FrameId) { return true; });
+    auto victim = policy->ChooseVictim(claim, 5000);
+    ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+    ASSERT_EQ(granted, std::vector<FrameId>{victim->frame})
+        << "claimed more than once, or returned an unclaimed frame";
+    EXPECT_EQ(victim->page, static_cast<PageId>(victim->frame));
+    EXPECT_FALSE(policy->IsResident(victim->page));
+    for (const FrameId frame : refused) {
+      EXPECT_TRUE(policy->IsResident(static_cast<PageId>(frame)))
+          << "refused frame " << frame << " was detached";
+    }
+    EXPECT_EQ(policy->resident_count(), kFrames - 1);
+    EXPECT_TRUE(policy->CheckInvariants().ok());
+  }
+}
+
 TEST_P(PolicyTest, EraseRemovesResident) {
   auto policy = MakePolicy();
   policy->AssertExclusiveAccess();

@@ -3,11 +3,12 @@
 // fails proves nothing; these tests prove the detectors fire.
 //
 // Two mutations, one per protection layer:
-//  1. BufferPoolConfig::test_skip_victim_revalidation re-opens the
-//     select→claim eviction race (a victim can be pinned by a reader while
-//     the evictor overwrites its frame). The stress harness must observe the
-//     resulting corruption — a stamp mismatch, an integrity violation, or a
-//     wedged stale mapping — and report it with the reproduction seed.
+//  1. BufferPoolConfig::test_skip_victim_revalidation makes the victim
+//     claim ignore pins (no pre-check, no shard scan), so an evictor can
+//     overwrite a frame a reader holds pinned. The stress harness must
+//     observe the resulting corruption — a stamp mismatch, an integrity
+//     violation, or a wedged stale mapping — and report it with the
+//     reproduction seed.
 //  2. BpWrapperCoordinator::Options::test_skip_commit_before_victim drops
 //     the Fig. 4 "commit queued accesses before selecting a victim" rule.
 //     Single-threaded equivalence with the serialized coordinator (the
@@ -41,14 +42,14 @@ stress::StressOptions MutationStressOptions(uint64_t seed) {
   options.system.coordinator = "bp-wrapper";
   options.threads = 4;
   options.ops_per_thread = 6000;
-  // Tiny pool, big page set: almost every access evicts, maximizing trips
-  // through the mutated select→claim window.
+  // Tiny pool, big page set: almost every access evicts, maximizing the
+  // claims the mutant makes on frames a reader holds pinned.
   options.frames = 16;
   options.pages = 96;
   options.hot_probability = 0.5;
   options.dirty_probability = 0.3;
-  // Widen the race window aggressively (the pool.evict_claim point sits
-  // exactly in the gap the skipped re-validation is supposed to close).
+  // Hold pins and claims open longer (the pool.evict_claim point sits just
+  // before the claim's CAS, under the policy lock).
   options.schedule.sleep_probability = 0.02;
   options.schedule.max_sleep_micros = 200;
   return options;
@@ -56,7 +57,7 @@ stress::StressOptions MutationStressOptions(uint64_t seed) {
 
 TEST(MutationTest, HarnessCatchesSkippedVictimRevalidation) {
   // The corruption is a race, so probe seeds until one fires; with the
-  // widened window and ~24k evicting accesses per run, detection is
+  // perturbation and ~24k evicting accesses per run, detection is
   // near-certain per seed (the first seed catches it almost always, so the
   // long tail of the list costs nothing). The list is long because a
   // heavily loaded machine can starve the interleaving for a seed or two.
